@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 from itertools import pairwise
 
 from .analysis import decode_probability, expected_violation_fraction
-from .core import AgeTracker, ParameterError, ReceiverChunkStore
+from .core import ParameterError
 from .fixed_sampling import OMEGA, PHI, PSI
-from .netsim import BottleneckPath, SimConfig, SimResult
+from .netsim import FlowTotals, Interval, SimConfig, SimResult, run_slots
 
 
 def round_half_up(x: float) -> int:
@@ -345,33 +345,118 @@ ADAPTIVE_COLUMNS = (
 FLOW_COLUMNS = ("mi", "flow", "sigma", "t_s", "av_raw", "av_ratio", "delivered")
 
 
-class _FlowState:
-    __slots__ = (
-        "avt",
-        "store",
-        "tracker",
-        "log",
-        "sched",
-        "serial",
-        "viol_ge",
-        "viol_gt",
-        "ivl_delivered",
-        "delivered",
-        "decoded",
-    )
+class _AdaptiveSender:
+    """One adaptive controller pacing one or more flows' codewords.
 
-    def __init__(self, avt: int, initial_age: int | None, k: int, t_s: int) -> None:
-        self.avt = avt
-        self.store = ReceiverChunkStore(k)
-        self.tracker = AgeTracker(avt, initial_age)
-        self.log = DecodeLog(self.tracker.initial_age)
-        self.sched = CodewordScheduler(t_s)
-        self.serial = 0
-        self.viol_ge = 0
-        self.viol_gt = 0
-        self.ivl_delivered = 0
-        self.delivered = 0
-        self.decoded = 0
+    The controller watches aggregate statistics (worst per-flow violation
+    ratio, pooled delays, pooled delivery ratio) and sets the total rate;
+    `allocate`, when given, splits it across flows.
+    """
+
+    schema = "adaptive-sampling-interval/1"
+    columns = ADAPTIVE_COLUMNS
+
+    def __init__(self, config: SimConfig, flow_avts: tuple[int, ...], allocate) -> None:
+        flow_count = len(flow_avts)
+        k, n0, avt = config.coding.k, config.coding.n, config.avt
+        self.config = config
+        self.flow_avts = flow_avts
+        self.allocate = allocate
+        rtt_init = (
+            config.rtt_init if config.rtt_init is not None else 2.0 * config.propagation_delay
+        )
+        # The rate ceiling is per flow; the aggregate controller gets one ceiling
+        # per concurrent flow so sharing does not throttle the system.
+        per_flow_max = config.sigma_max if config.sigma_max is not None else sigma_ceiling(k, avt)
+        self.total_max = per_flow_max * flow_count
+        state = AdaptiveSamplingState.initial(
+            k,
+            n0,
+            avt,
+            rtt_init,
+            sigma_min=config.sigma_min,
+            sigma_max=self.total_max,
+            monitoring_interval=config.monitoring_interval,
+        )
+        if flow_count > 1:
+            boosted = min(max(state.sigma * flow_count, config.sigma_min), self.total_max)
+            state = replace(
+                state, sigma=boosted, sigma_last=boosted,
+                t_s=sampling_interval(n0, boosted),
+            )
+        self.state = state
+        self.sigmas = [state.sigma / flow_count] * flow_count
+        self.scheds = [CodewordScheduler(sampling_interval(state.n, s)) for s in self.sigmas]
+        self.ivl_sent = 0
+        self.rows: list[tuple] = []
+        self.flow_rows: list[tuple] = []
+
+    def emit(self, t: int) -> list[tuple]:
+        n = self.state.n
+        out = []
+        for flow, sched in enumerate(self.scheds):
+            if sched.due(t):
+                out.append((flow, 0, None, n, 1.0))
+                self.ivl_sent += n
+                sched.mark_sent(t)
+        return out
+
+    def boundary(self, t: int, interval: Interval) -> int:
+        ivl_len = t - interval.start
+        raws = [
+            interval_age_violation(log, interval.start, avt)
+            for log, avt in zip(interval.decodes, self.flow_avts)
+        ]
+        ratios = [max(0.0, raw) / ivl_len for raw in raws]
+        stats = AdaptiveIntervalStats(
+            av_ratio=max(ratios),
+            wbar_mi=interval.mean_delay,
+            pdr=packet_delivery_ratio(interval.delivered, self.ivl_sent),
+            min_delay=interval.min_delay,
+        )
+        config = self.config
+        old_total = self.state.sigma
+        state, branch = process_interval(
+            self.state,
+            stats,
+            config.avt,
+            config.coding.k,
+            sigma_min=config.sigma_min,
+            sigma_max=self.total_max,
+            candidates=config.block_candidates,
+        )
+        self.state = state
+        n = state.n
+        if self.allocate is None:
+            self.sigmas = [state.sigma]
+        else:
+            self.sigmas = list(self.allocate(self.sigmas, ratios, state.sigma, old_total, config.sigma_min))
+        self.rows.append(
+            (
+                state.mi,
+                state.sigma,
+                n,
+                state.t_s,
+                state.t_tilde,
+                max(raws),
+                stats.av_ratio,
+                stats.wbar_mi,
+                stats.pdr,
+                state.ef,
+                int(state.df),
+                state.min_rtt,
+                branch,
+            )
+        )
+        for idx, (sched, sig) in enumerate(zip(self.scheds, self.sigmas)):
+            t_s_i = sampling_interval(n, sig)
+            sched.set_interval(t, t_s_i)
+            if len(self.scheds) > 1:
+                self.flow_rows.append(
+                    (state.mi, idx, sig, t_s_i, raws[idx], ratios[idx], interval.flow_delivered[idx])
+                )
+        self.ivl_sent = 0
+        return state.t_tilde
 
 
 @dataclass
@@ -379,11 +464,8 @@ class FlowsOutcome:
     """Everything the single- and multi-flow front ends need."""
 
     system: SimResult
+    flows: FlowTotals
     flow_rows: list[tuple]
-    flow_av: list[float]
-    flow_av_strict: list[float]
-    flow_delivered: list[int]
-    flow_decoded: list[int]
     flow_sigmas: list[float]
 
 
@@ -395,8 +477,7 @@ def run_adaptive_flows(
 ) -> FlowsOutcome:
     """Drive one or more adaptive flows through a shared bottleneck.
 
-    One controller instance watches aggregate statistics (worst per-flow
-    violation ratio, pooled delays, pooled delivery ratio) and sets the total
+    One controller instance watches aggregate statistics and sets the total
     rate; `allocate` then splits it across flows.  With flow_count == 1 and
     no allocator the total is the flow's rate and this is the plain
     single-flow simulation.
@@ -412,190 +493,11 @@ def run_adaptive_flows(
         raise ParameterError(
             f"expected {flow_count} per-flow thresholds, got {len(flow_avts)}"
         )
-
-    k, n0 = config.coding.k, config.coding.n
-    avt = config.avt
-    duration = config.duration
-    sigma_min = config.sigma_min
-    rtt_init = (
-        config.rtt_init if config.rtt_init is not None else 2.0 * config.propagation_delay
-    )
-    # The rate ceiling is per flow; the aggregate controller gets one ceiling
-    # per concurrent flow so sharing does not throttle the system.
-    per_flow_max = config.sigma_max if config.sigma_max is not None else sigma_ceiling(k, avt)
-    total_max = per_flow_max * flow_count
-    state = AdaptiveSamplingState.initial(
-        k,
-        n0,
-        avt,
-        rtt_init,
-        sigma_min=sigma_min,
-        sigma_max=total_max,
-        monitoring_interval=config.monitoring_interval,
-    )
-    if flow_count > 1:
-        boosted = min(max(state.sigma * flow_count, sigma_min), total_max)
-        state = replace(
-            state, sigma=boosted, sigma_last=boosted,
-            t_s=sampling_interval(n0, boosted),
-        )
-    n = state.n
-    sigmas = [state.sigma / flow_count] * flow_count
-    path = BottleneckPath(config)
-    flows = [
-        _FlowState(a, config.initial_age, k, sampling_interval(n, s))
-        for a, s in zip(flow_avts, sigmas)
-    ]
-
-    mi_start = 0
-    mi_end = state.t_tilde
-    ivl_sent = 0
-    ivl_delivered = 0
-    ivl_delay_sum = 0
-    ivl_min_delay = math.inf
-    delay_sum = 0
-    delivered_total = 0
-    occ_sum = 0
-    occ_max = 0
-    rows: list[tuple] = []
-    flow_rows: list[tuple] = []
-    decoded_gens: list[list[int]] = [[] for _ in range(flow_count)]
-
-    for t in range(1, duration + 1):
-        for lst in decoded_gens:
-            lst.clear()
-        for obj, delay in path.deliveries_at(t):
-            fl = flows[obj[0]]
-            fl.ivl_delivered += 1
-            fl.delivered += 1
-            ivl_delivered += 1
-            delivered_total += 1
-            ivl_delay_sum += delay
-            delay_sum += delay
-            if delay < ivl_min_delay:
-                ivl_min_delay = delay
-            if fl.store.add(obj[1], obj[2]):
-                fl.decoded += 1
-                if fl.log.record(obj[3], t):
-                    decoded_gens[obj[0]].append(obj[3])
-        for fl, gens in zip(flows, decoded_gens):
-            age = fl.tracker.step(t, gens)
-            if age >= fl.avt:
-                fl.viol_ge += 1
-            if age > fl.avt:
-                fl.viol_gt += 1
-
-        if t == mi_end:
-            ivl_len = t - mi_start
-            raws = []
-            ratios = []
-            for fl in flows:
-                raw = interval_age_violation(fl.log.interval_entries(), mi_start, fl.avt)
-                raws.append(raw)
-                ratios.append(max(0.0, raw) / ivl_len)
-                fl.log.roll()
-            stats = AdaptiveIntervalStats(
-                av_ratio=max(ratios),
-                wbar_mi=ivl_delay_sum / ivl_delivered if ivl_delivered else math.inf,
-                pdr=packet_delivery_ratio(ivl_delivered, ivl_sent),
-                min_delay=ivl_min_delay,
-            )
-            old_total = state.sigma
-            state, branch = process_interval(
-                state,
-                stats,
-                avt,
-                k,
-                sigma_min=sigma_min,
-                sigma_max=total_max,
-                candidates=config.block_candidates,
-            )
-            n = state.n
-            if allocate is None:
-                sigmas = [state.sigma]
-            else:
-                sigmas = list(allocate(sigmas, ratios, state.sigma, old_total, sigma_min))
-            rows.append(
-                (
-                    state.mi,
-                    state.sigma,
-                    n,
-                    state.t_s,
-                    state.t_tilde,
-                    max(raws),
-                    stats.av_ratio,
-                    stats.wbar_mi,
-                    stats.pdr,
-                    state.ef,
-                    int(state.df),
-                    state.min_rtt,
-                    branch,
-                )
-            )
-            for idx, (fl, sig) in enumerate(zip(flows, sigmas)):
-                t_s_i = sampling_interval(n, sig)
-                fl.sched.set_interval(t, t_s_i)
-                if flow_count > 1:
-                    flow_rows.append(
-                        (state.mi, idx, sig, t_s_i, raws[idx], ratios[idx], fl.ivl_delivered)
-                    )
-                fl.ivl_delivered = 0
-            ivl_sent = 0
-            ivl_delivered = 0
-            ivl_delay_sum = 0
-            ivl_min_delay = math.inf
-            mi_start = t
-            mi_end = t + state.t_tilde
-
-        for idx, fl in enumerate(flows):
-            if fl.sched.due(t):
-                fl.serial += 1
-                path.inject([(idx, fl.serial, ci, t) for ci in range(n)], t)
-                ivl_sent += n
-                fl.sched.mark_sent(t)
-        path.advance_slot(t)
-        occ = path.occupancy
-        occ_sum += occ
-        if occ > occ_max:
-            occ_max = occ
-
-    system = SimResult(
-        schema="adaptive-sampling-interval/1",
-        columns=ADAPTIVE_COLUMNS,
-        rows=rows,
-        av=flows[0].viol_ge / duration,
-        av_strict=flows[0].viol_gt / duration,
-        mean_delay=delay_sum / delivered_total if delivered_total else math.inf,
-        counts={
-            "injected": path.injected,
-            "lost_in": path.lost_in,
-            "dropped_buffer": path.dropped_buffer,
-            "lost_out": path.lost_out,
-            "delivered": path.delivered,
-            "in_flight": path.in_flight,
-            "queued": path.occupancy,
-        },
-        occupancy_max=occ_max,
-        occupancy_mean=occ_sum / duration,
-        age_trace=None,
-        final_state={
-            "sigma": state.sigma,
-            "n": state.n,
-            "t_s": state.t_s,
-            "t_tilde": state.t_tilde,
-            "min_rtt": state.min_rtt,
-            "mi": state.mi,
-        },
-    )
-    return FlowsOutcome(
-        system=system,
-        flow_rows=flow_rows,
-        flow_av=[fl.viol_ge / duration for fl in flows],
-        flow_av_strict=[fl.viol_gt / duration for fl in flows],
-        flow_delivered=[fl.delivered for fl in flows],
-        flow_decoded=[fl.decoded for fl in flows],
-        flow_sigmas=list(sigmas),
-    )
+    if min(flow_avts) < 1:
+        raise ParameterError(f"per-flow thresholds must be >= 1, got {flow_avts}")
+    sender = _AdaptiveSender(config, flow_avts, allocate)
+    system, flows = run_slots(config, sender, flow_avts)
+    return FlowsOutcome(system, flows, sender.flow_rows, list(sender.sigmas))
 
 
 def run_sim(config: SimConfig) -> SimResult:

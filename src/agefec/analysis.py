@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.stats import binom
-
 from .core import CodingParams, LossModel, ParameterError, total_loss_probability
 
 
@@ -63,7 +61,11 @@ def decode_probability(k: int, n: int, per_chunk_loss: float, max_missing: int |
         return 1.0
     if per_chunk_loss == 1.0:
         return 0.0
-    return float(binom.cdf(limit, n, per_chunk_loss))
+    q = 1.0 - per_chunk_loss
+    total = sum(
+        math.comb(n, i) * per_chunk_loss**i * q ** (n - i) for i in range(limit + 1)
+    )
+    return min(1.0, total)
 
 
 def sample_decode_prob(

@@ -122,14 +122,13 @@ class AgeTracker:
         self._freshest = -initial  # virtual origin so age(0) == initial_age
         self._decoded_any = False
         self._last_now = 0
-        self.trace: list[tuple[SlotTime, int]] = []
 
     @property
     def freshest_decoded_gen(self) -> SlotTime | None:
         return self._freshest if self._decoded_any else None
 
     def step(self, now: SlotTime, newly_decoded_gens=()) -> int:
-        """Advance to slot `now`, fold in decode events, record and return the age."""
+        """Advance to slot `now`, fold in decode events and return the age."""
         if now <= self._last_now:
             raise ParameterError(f"slots must advance monotonically ({now} after {self._last_now})")
         freshest = self._freshest
@@ -141,15 +140,13 @@ class AgeTracker:
                 self._decoded_any = True
         self._freshest = freshest
         self._last_now = now
-        age = now - freshest
-        self.trace.append((now, age))
-        return age
+        return now - freshest
 
 
 def age_violation_rate(trace, avt: int, horizon: int) -> float:
     """Fraction of slots 1..horizon whose age meets or exceeds the threshold.
 
-    `trace` is a sequence of (slot, age) pairs as produced by AgeTracker.
+    `trace` is a sequence of (slot, age) pairs, one per AgeTracker.step.
     """
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")

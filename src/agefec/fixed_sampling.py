@@ -13,10 +13,8 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .core import AgeTracker, ParameterError, ReceiverChunkStore
-from .netsim import BottleneckPath, SimConfig, SimResult, stream
+from .core import ParameterError
+from .netsim import Interval, SimConfig, SimResult, run_slots
 
 PHI = 1.5
 PSI = 0.8
@@ -111,14 +109,6 @@ class IntervalStats:
             raise ParameterError(f"wbar_mi must be >= 0 or inf, got {self.wbar_mi}")
 
 
-def interval_mean_delay(delays) -> float:
-    """Mean of a delay multiset; infinity when nothing was received."""
-    delays = list(delays)
-    if not delays:
-        return float("inf")
-    return sum(delays) / len(delays)
-
-
 @dataclass(frozen=True)
 class FixedSamplingState:
     """Controller state carried across monitoring intervals."""
@@ -190,101 +180,49 @@ def update_controller(
 INTERVAL_COLUMNS = ("mi", "sigma", "av_mi", "av_ema", "wbar_mi", "wbar_ema", "ef", "branch")
 
 
+class _FixedSamplingSender:
+    """Bernoulli selection over the freshest samples, retuned every interval."""
+
+    schema = "fixed-sampling-interval/1"
+    columns = INTERVAL_COLUMNS
+
+    def __init__(self, config: SimConfig) -> None:
+        self.n = config.coding.n
+        self.avt = config.avt
+        self.t_tilde = config.monitoring_interval
+        self.m = config.sample_memory if config.sample_memory is not None else config.avt
+        self.state = FixedSamplingState.initial(self.n, self.avt, config.initial_rate)
+        self.rows: list[tuple] = []
+        self._retune()
+
+    def _retune(self) -> None:
+        policy = optimal_selection_probs(self.state.sigma, self.avt, self.m)
+        # The samples the policy may send, in the order select_chunks walks them.
+        self.plan = tuple((0, j, None, self.n, p) for j, p in enumerate(policy.probs) if p > 0.0)
+
+    def emit(self, t: int) -> tuple:
+        return self.plan
+
+    def boundary(self, t: int, interval: Interval) -> int:
+        stats = IntervalStats(av_mi=interval.viol_gt[0] / self.t_tilde, wbar_mi=interval.mean_delay)
+        state, branch = update_controller(self.state, stats, self.avt, self.n)
+        self.rows.append(
+            (
+                state.mi,
+                state.sigma,
+                stats.av_mi,
+                state.av_ema,
+                stats.wbar_mi,
+                state.wbar_ema,
+                state.ef,
+                branch,
+            )
+        )
+        self.state = state
+        self._retune()
+        return self.t_tilde
+
+
 def run_sim(config: SimConfig, collect_trace: bool = False) -> SimResult:
     """Simulate the fixed-sampling protocol over the bottleneck path."""
-    k, n = config.coding.k, config.coding.n
-    avt = config.avt
-    duration = config.duration
-    t_tilde = config.monitoring_interval
-    m = config.sample_memory if config.sample_memory is not None else avt
-
-    path = BottleneckPath(config)
-    sel_rng = stream(config.rng_seed, "select")
-    store = ReceiverChunkStore(k)
-    tracker = AgeTracker(avt, config.initial_age)
-    state = FixedSamplingState.initial(n, avt, config.initial_rate)
-    policy = optimal_selection_probs(state.sigma, avt, m)
-
-    viol_ge = 0
-    viol_gt = 0
-    ivl_viol = 0
-    ivl_delay_sum = 0
-    ivl_delivered = 0
-    delay_sum = 0
-    delivered_total = 0
-    occ_sum = 0
-    occ_max = 0
-    rows: list[tuple] = []
-    ages = np.zeros(duration + 1, dtype=np.int64) if collect_trace else None
-    if ages is not None:
-        ages[0] = tracker.initial_age
-
-    for t in range(1, duration + 1):
-        best = None
-        for obj, delay in path.deliveries_at(t):
-            ivl_delay_sum += delay
-            delay_sum += delay
-            ivl_delivered += 1
-            delivered_total += 1
-            if store.add(obj[0], obj[1]) and (best is None or obj[0] > best):
-                best = obj[0]
-        age = tracker.step(t, () if best is None else (best,))
-        if ages is not None:
-            ages[t] = age
-        if age >= avt:
-            viol_ge += 1
-        if age > avt:
-            viol_gt += 1
-            ivl_viol += 1
-
-        if t % t_tilde == 0:
-            stats = IntervalStats(
-                av_mi=ivl_viol / t_tilde,
-                wbar_mi=ivl_delay_sum / ivl_delivered if ivl_delivered else float("inf"),
-            )
-            state, branch = update_controller(state, stats, avt, n)
-            rows.append(
-                (
-                    state.mi,
-                    state.sigma,
-                    stats.av_mi,
-                    state.av_ema,
-                    stats.wbar_mi,
-                    state.wbar_ema,
-                    state.ef,
-                    branch,
-                )
-            )
-            policy = optimal_selection_probs(state.sigma, avt, m)
-            ivl_viol = ivl_delay_sum = ivl_delivered = 0
-
-        outgoing = select_chunks(policy, t, n, sel_rng)
-        if outgoing:
-            path.inject(outgoing, t)
-        path.advance_slot(t)
-        occ = path.occupancy
-        occ_sum += occ
-        if occ > occ_max:
-            occ_max = occ
-
-    return SimResult(
-        schema="fixed-sampling-interval/1",
-        columns=INTERVAL_COLUMNS,
-        rows=rows,
-        av=viol_ge / duration,
-        av_strict=viol_gt / duration,
-        mean_delay=delay_sum / delivered_total if delivered_total else float("inf"),
-        counts={
-            "injected": path.injected,
-            "lost_in": path.lost_in,
-            "dropped_buffer": path.dropped_buffer,
-            "lost_out": path.lost_out,
-            "delivered": path.delivered,
-            "in_flight": path.in_flight,
-            "queued": path.occupancy,
-        },
-        occupancy_max=occ_max,
-        occupancy_mean=occ_sum / duration,
-        age_trace=ages,
-        final_state={"sigma": state.sigma, "mi": state.mi},
-    )
+    return run_slots(config, _FixedSamplingSender(config), collect_trace=collect_trace)[0]

@@ -133,10 +133,10 @@ def run_sim(config: SimConfig, flow_count: int = 2, flow_avts=None) -> Multiflow
         system=outcome.system,
         flow_columns=FLOW_COLUMNS,
         flow_rows=outcome.flow_rows,
-        flow_av=outcome.flow_av,
-        flow_av_strict=outcome.flow_av_strict,
-        flow_delivered=outcome.flow_delivered,
-        flow_decoded=outcome.flow_decoded,
+        flow_av=outcome.flows.av,
+        flow_av_strict=outcome.flows.av_strict,
+        flow_delivered=outcome.flows.delivered,
+        flow_decoded=outcome.flows.decoded,
         final_sigmas=outcome.flow_sigmas,
         fairness_final=fairness_index(outcome.flow_sigmas),
         fairness_mean=(

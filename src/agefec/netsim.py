@@ -6,36 +6,32 @@ post-queue loss, then a fixed propagation delay.  Service uses a credit
 accumulator so fractional rates average out exactly; a chunk can be served in
 the slot it arrives, so the minimum end-to-end delay is 1 + propagation.
 
-Within a slot the runners follow a fixed event order: (1) receiver processing
-of this slot's deliveries, (2) controller feedback when a monitoring interval
-completes, (3) sender injection, (4) queue service.
+Every simulator runs on one slot engine, `run_slots`, which holds the path,
+the receiver's decode masks and the age accounting in local variables.
+Within a slot it follows a fixed event order: (1) receiver processing of this
+slot's deliveries and the age step, (2) the sender's boundary hook when a
+monitoring interval completes, (3) the sender's emissions, (4) queue service.
+`BottleneckPath`, `ReceiverChunkStore` and `AgeTracker` are the reference
+models of what the engine inlines.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
-    AgeTracker,
     CodingParams,
     LossModel,
     ParameterError,
-    ReceiverChunkStore,
     SlotTime,
 )
 
 SERVICE_RATE_PER_DATA_CHUNK = 1.4706
-
-# Fates reported by BottleneckPath.inject / advance_slot.
-LOST_IN = "lost_in"
-DROPPED_BUFFER = "dropped_buffer"
-ENQUEUED = "enqueued"
-LOST_OUT = "lost_out"
-IN_FLIGHT = "in_flight"
 
 
 def stream(seed: int, label: str) -> random.Random:
@@ -84,6 +80,8 @@ class SimConfig:
             raise ParameterError(f"propagation_delay must be >= 0, got {self.propagation_delay}")
         if self.q_s is not None and self.q_s <= 0:
             raise ParameterError(f"q_s must be > 0, got {self.q_s}")
+        if self.initial_age is not None and self.initial_age < 0:
+            raise ParameterError(f"initial_age must be >= 0, got {self.initial_age}")
 
     @property
     def service_rate(self) -> float:
@@ -125,9 +123,8 @@ class BottleneckPath:
     def in_flight(self) -> int:
         return len(self._pipe)
 
-    def inject(self, chunks, now: SlotTime) -> list[str]:
-        """Offer chunks to the path at slot `now`; returns one fate per chunk."""
-        fates = []
+    def inject(self, chunks, now: SlotTime) -> None:
+        """Offer chunks to the path at slot `now`."""
         queue = self._queue
         rng = self._rng_in.random
         p_in = self.p_in
@@ -135,20 +132,15 @@ class BottleneckPath:
             self.injected += 1
             if p_in > 0.0 and rng() < p_in:
                 self.lost_in += 1
-                fates.append(LOST_IN)
             elif len(queue) >= self.capacity:
                 self.dropped_buffer += 1
-                fates.append(DROPPED_BUFFER)
             else:
                 queue.append((obj, now))
-                fates.append(ENQUEUED)
-        return fates
 
-    def advance_slot(self, now: SlotTime) -> list[tuple[object, str]]:
+    def advance_slot(self, now: SlotTime) -> None:
         """Serve the queue for one slot; call exactly once per slot after inject."""
         queue = self._queue
         credit = self._credit + self.q_s
-        served = []
         if queue:
             rng = self._rng_out.random
             p_out = self.p_out
@@ -159,13 +151,10 @@ class BottleneckPath:
                 credit -= 1.0
                 if p_out > 0.0 and rng() < p_out:
                     self.lost_out += 1
-                    served.append((obj, LOST_OUT))
                 else:
                     pipe.append((delivery, obj, enq))
-                    served.append((obj, IN_FLIGHT))
         # Idle capacity is not banked: credit only carries while work remains.
         self._credit = credit if queue else 0.0
-        return served
 
     def deliveries_at(self, now: SlotTime) -> list[tuple[object, int]]:
         """Chunks arriving at slot `now`, each with its end-to-end delay."""
@@ -208,7 +197,6 @@ class SimResult:
     occupancy_max: int
     occupancy_mean: float
     age_trace: np.ndarray | None = None
-    final_state: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
         out = {
@@ -222,12 +210,261 @@ class SimResult:
         return out
 
 
+@dataclass
+class Interval:
+    """What the receiver measured over one monitoring interval (start, end].
+
+    Per-flow lists are indexed by flow.  `decodes[f]` is flow f's decode log:
+    the last refreshing decode before the interval, as a (generation, slot)
+    pair, followed by this interval's refreshing decodes.
+    """
+
+    start: int
+    delivered: int
+    delay_sum: int
+    min_delay: float  # an int delay, or inf when nothing arrived
+    viol_gt: list[int]  # slots with age > avt
+    decodes: list[list[tuple[int, int]]]
+    flow_delivered: list[int]
+
+    @property
+    def mean_delay(self) -> float:
+        return self.delay_sum / self.delivered if self.delivered else math.inf
+
+
+@dataclass
+class FlowTotals:
+    """Per-flow results of one engine run, indexed by flow."""
+
+    av: list[float]
+    av_strict: list[float]
+    delivered: list[int]
+    decoded: list[int]
+
+
+def _slots_from(first: int, last: int, threshold: int) -> int:
+    """How many slots in [first, last] lie at or after slot `threshold`."""
+    return max(0, last - max(first, threshold) + 1)
+
+
+def run_slots(
+    config: SimConfig, sender, flow_avts=None, collect_trace: bool = False
+) -> tuple[SimResult, FlowTotals]:
+    """Run `sender` over the bottleneck path for config.duration slots.
+
+    The sender holds only its policy; the engine owns the path, the receiver
+    and the age accounting of every flow.  A sender provides:
+
+    - `emit(t)`: the codewords leaving at slot t, as (flow, age, sample, n, p)
+      tuples in send order.  A codeword carries the sample its flow generated
+      `age` slots ago; codewords of samples generated before slot 1 are
+      skipped.  `sample` is None when the generation slot identifies the
+      sample, else an id unique within the flow.  Each of the n chunks goes
+      out with probability p > 0, drawn from the "select" stream when p < 1.
+    - `boundary(t, interval)`: called at the end of each monitoring interval
+      with an `Interval`; returns the length of the next interval.  The first
+      interval is config.monitoring_interval slots long.
+    - `schema`, `columns` and `rows` for the `SimResult`.
+
+    The returned result reports flow 0's violation rates.
+    """
+    avts = [config.avt] if flow_avts is None else list(flow_avts)
+    flow_count = len(avts)
+    k = config.coding.k
+    duration = config.duration
+    q_s = config.service_rate
+    capacity = config.buffer_capacity
+    p_in, p_out = config.loss.p_in, config.loss.p_out
+    latency = 1 + config.propagation_delay
+    draw_in = stream(config.rng_seed, "loss-in").random
+    draw_out = stream(config.rng_seed, "loss-out").random
+    draw_select = stream(config.rng_seed, "select").random
+    emit = sender.emit
+
+    # Path: queue entries are (mask key, chunk bit, gen, flow, enqueue slot);
+    # the pipe holds one (delivery slot, entries) batch per serving slot.
+    queue: deque = deque()
+    push = queue.append
+    pop = queue.popleft
+    pipe: deque = deque()
+    credit = 0.0
+    injected = lost_in = dropped_buffer = lost_out = delivered = 0
+    occ_sum = occ_max = 0
+    # Receiver: one decode mask per (flow, sample), keyed sample * flow_count + flow.
+    masks: dict[int, int] = {}
+    initial = [a if config.initial_age is None else config.initial_age for a in avts]
+    fresh = [-a for a in initial]  # virtual origin so age(0) == initial age
+    # Refreshing decodes as (gen, slot): the last one before the interval,
+    # then the interval's own.
+    decodes: list[list[tuple[int, int]]] = [[(-a, 0)] for a in initial]
+    decoded = [0] * flow_count
+    flow_delivered = [0] * flow_count
+    delay_sum = 0
+    ages = np.zeros(duration + 1, dtype=np.int64) if collect_trace else None
+    if ages is not None:
+        ages[0] = initial[0]
+    # Age violations are counted per stretch of constant freshest generation
+    # g, from the slot it decoded: age >= avt from slot g + avt on.  A stretch
+    # is counted when it ends or an interval closes, never slot by slot.
+    viol_ge = [0] * flow_count
+    viol_gt = [0] * flow_count
+    start = 0  # slots up to here are counted
+    min_delay = math.inf
+    mark_delivered = mark_delay = 0
+    mark_viol = [0] * flow_count
+    mark_flow = [0] * flow_count
+
+    def count_violations(f: int, last: int) -> None:
+        gen, slot = decodes[f][-1]
+        first = max(slot, start + 1)
+        viol_ge[f] += _slots_from(first, last, gen + avts[f])
+        viol_gt[f] += _slots_from(first, last, gen + avts[f] + 1)
+
+    next_boundary = config.monitoring_interval
+    for t in range(1, duration + 1):
+        if pipe and pipe[0][0] == t:
+            batch = pipe.popleft()[1]
+            delivered += len(batch)
+            # FIFO service: the last chunk of a batch waited least.
+            if t - batch[-1][4] < min_delay:
+                min_delay = t - batch[-1][4]
+            for key, bit, gen, f, sent in batch:
+                delay_sum += t - sent
+                flow_delivered[f] += 1
+                mask = masks.get(key, 0)
+                if not mask & bit:
+                    mask |= bit
+                    masks[key] = mask
+                    if mask.bit_count() == k:
+                        decoded[f] += 1
+                        if gen > fresh[f]:
+                            if fresh[f] + avts[f] < t:
+                                count_violations(f, t - 1)
+                            fresh[f] = gen
+                            decodes[f].append((gen, t))
+        if ages is not None:
+            ages[t] = t - fresh[0]
+
+        if t == next_boundary:
+            for f in range(flow_count):
+                count_violations(f, t)
+            interval = Interval(
+                start=start,
+                delivered=delivered - mark_delivered,
+                delay_sum=delay_sum - mark_delay,
+                min_delay=min_delay,
+                viol_gt=[v - m for v, m in zip(viol_gt, mark_viol)],
+                decodes=decodes,
+                flow_delivered=[d - m for d, m in zip(flow_delivered, mark_flow)],
+            )
+            decodes = [[log[-1]] for log in decodes]
+            next_boundary = t + sender.boundary(t, interval)
+            start = t
+            mark_delivered, mark_delay = delivered, delay_sum
+            mark_viol, mark_flow = viol_gt[:], flow_delivered[:]
+            min_delay = math.inf
+
+        for f, age, sample, n, p in emit(t):
+            gen = t - age
+            if gen < 1:
+                continue
+            key = (gen if sample is None else sample) * flow_count + f
+            for i in range(n):
+                if p < 1.0 and draw_select() >= p:
+                    continue
+                injected += 1
+                if p_in > 0.0 and draw_in() < p_in:
+                    lost_in += 1
+                elif len(queue) >= capacity:
+                    dropped_buffer += 1
+                else:
+                    push((key, 1 << i, gen, f, t))
+
+        credit += q_s
+        if queue:
+            served = []
+            while credit >= 1.0 and queue:
+                entry = pop()
+                credit -= 1.0
+                if p_out > 0.0 and draw_out() < p_out:
+                    lost_out += 1
+                else:
+                    served.append(entry)
+            if served:
+                pipe.append((t + latency, served))
+        occ = len(queue)
+        # Idle capacity is not banked: credit only carries while work remains.
+        if not occ:
+            credit = 0.0
+        occ_sum += occ
+        if occ > occ_max:
+            occ_max = occ
+
+    for f in range(flow_count):
+        count_violations(f, duration)
+    result = SimResult(
+        schema=sender.schema,
+        columns=sender.columns,
+        rows=sender.rows,
+        av=viol_ge[0] / duration,
+        av_strict=viol_gt[0] / duration,
+        mean_delay=delay_sum / delivered if delivered else math.inf,
+        counts={
+            "injected": injected,
+            "lost_in": lost_in,
+            "dropped_buffer": dropped_buffer,
+            "lost_out": lost_out,
+            "delivered": delivered,
+            "in_flight": sum(len(batch) for _, batch in pipe),
+            "queued": len(queue),
+        },
+        occupancy_max=occ_max,
+        occupancy_mean=occ_sum / duration,
+        age_trace=ages,
+    )
+    totals = FlowTotals(
+        av=[v / duration for v in viol_ge],
+        av_strict=[v / duration for v in viol_gt],
+        delivered=flow_delivered,
+        decoded=decoded,
+    )
+    return result, totals
+
+
 FIXED_RATE_COLUMNS = ("mi", "av_mi", "wbar_mi", "delivered")
 
 
-def run_fixed_rate_sim(
-    config: SimConfig, rate: float, collect_trace: bool = False
-) -> SimResult:
+class _FixedRateSender:
+    """Whole codewords paced by a credit accumulator, with no feedback."""
+
+    schema = "fixed-rate-interval/1"
+    columns = FIXED_RATE_COLUMNS
+
+    def __init__(self, config: SimConfig, rate: float) -> None:
+        self.rate = rate
+        self.n = config.coding.n
+        self.t_tilde = config.monitoring_interval
+        self.credit = 0.0
+        self.serial = 0  # samples get serial ids so same-slot codewords stay distinct
+        self.rows: list[tuple] = []
+
+    def emit(self, t: int) -> list[tuple]:
+        self.credit += self.rate
+        out = []
+        while self.credit >= 1.0:
+            self.credit -= 1.0
+            self.serial += 1
+            out.append((0, 0, self.serial, self.n, 1.0))
+        return out
+
+    def boundary(self, t: int, interval: Interval) -> int:
+        self.rows.append(
+            (len(self.rows) + 1, interval.viol_gt[0] / self.t_tilde, interval.mean_delay, interval.delivered)
+        )
+        return self.t_tilde
+
+
+def run_fixed_rate_sim(config: SimConfig, rate: float) -> SimResult:
     """Fixed-rate sender: whole codewords paced at `rate` codewords per slot.
 
     A credit accumulator emits complete codewords (n chunks of a fresh sample)
@@ -236,85 +473,4 @@ def run_fixed_rate_sim(
     """
     if rate <= 0:
         raise ParameterError(f"rate must be > 0, got {rate}")
-    k, n = config.coding.k, config.coding.n
-    avt = config.avt
-    path = BottleneckPath(config)
-    store = ReceiverChunkStore(k)
-    tracker = AgeTracker(avt, config.initial_age)
-    t_tilde = config.monitoring_interval
-    duration = config.duration
-
-    send_credit = 0.0
-    viol_ge = 0
-    viol_gt = 0
-    ivl_viol = 0
-    ivl_delay_sum = 0
-    ivl_delivered = 0
-    delay_sum = 0
-    delivered_total = 0
-    occ_sum = 0
-    occ_max = 0
-    rows: list[tuple] = []
-    ages = np.zeros(duration + 1, dtype=np.int64) if collect_trace else None
-    if ages is not None:
-        ages[0] = tracker.initial_age
-    mi = 0
-
-    serial = 0  # samples get serial ids so same-slot codewords stay distinct
-    for t in range(1, duration + 1):
-        best = None
-        for obj, delay in path.deliveries_at(t):
-            ivl_delay_sum += delay
-            delay_sum += delay
-            ivl_delivered += 1
-            delivered_total += 1
-            if store.add(obj[0], obj[1]) and (best is None or obj[2] > best):
-                best = obj[2]
-        age = tracker.step(t, () if best is None else (best,))
-        if ages is not None:
-            ages[t] = age
-        if age >= avt:
-            viol_ge += 1
-        if age > avt:
-            viol_gt += 1
-            ivl_viol += 1
-        if t % t_tilde == 0:
-            mi += 1
-            wbar = ivl_delay_sum / ivl_delivered if ivl_delivered else float("inf")
-            rows.append((mi, ivl_viol / t_tilde, wbar, ivl_delivered))
-            ivl_viol = ivl_delay_sum = ivl_delivered = 0
-        send_credit += rate
-        if send_credit >= 1.0:
-            out = []
-            while send_credit >= 1.0:
-                send_credit -= 1.0
-                serial += 1
-                out.extend((serial, i, t) for i in range(n))
-            path.inject(out, t)
-        path.advance_slot(t)
-        occ = path.occupancy
-        occ_sum += occ
-        if occ > occ_max:
-            occ_max = occ
-
-    return SimResult(
-        schema="fixed-rate-interval/1",
-        columns=FIXED_RATE_COLUMNS,
-        rows=rows,
-        av=viol_ge / duration,
-        av_strict=viol_gt / duration,
-        mean_delay=delay_sum / delivered_total if delivered_total else float("inf"),
-        counts={
-            "injected": path.injected,
-            "lost_in": path.lost_in,
-            "dropped_buffer": path.dropped_buffer,
-            "lost_out": path.lost_out,
-            "delivered": path.delivered,
-            "in_flight": path.in_flight,
-            "queued": path.occupancy,
-        },
-        occupancy_max=occ_max,
-        occupancy_mean=occ_sum / duration,
-        age_trace=ages,
-        final_state={"rate": rate},
-    )
+    return run_slots(config, _FixedRateSender(config, rate))[0]

@@ -500,8 +500,7 @@ def run_receiver(
     ivl_delivered = 0
     ivl_delay_sum = 0.0
     ivl_min_delay = math.inf
-    ivl_max_id = -1
-    prev_max_id = -1
+    ivl_sent = 0
     total_delay = 0.0
     min_delay_raw = math.inf
 
@@ -515,13 +514,6 @@ def run_receiver(
                     decode_log.interval_entries(), mi_start_slot, avt
                 )
                 decode_log.roll()
-                # Sent estimate: serial ids are dense, so the id span since
-                # the last boundary bounds how many codewords left the sender.
-                if ivl_max_id >= 0:
-                    sent = (ivl_max_id - prev_max_id) * state.n
-                    prev_max_id = ivl_max_id
-                else:
-                    sent = 0
                 stats = AdaptiveIntervalStats(
                     av_ratio=max(0.0, raw) / ivl_slots,
                     wbar_mi=(
@@ -529,7 +521,7 @@ def run_receiver(
                         if ivl_delivered
                         else math.inf
                     ),
-                    pdr=packet_delivery_ratio(ivl_delivered, sent),
+                    pdr=packet_delivery_ratio(ivl_delivered, ivl_sent),
                     min_delay=(
                         ivl_min_delay / config.slot_ms
                         if math.isfinite(ivl_min_delay)
@@ -574,6 +566,7 @@ def run_receiver(
                 mi_start_slot = boundary_slot
                 next_boundary = now + state.t_tilde * slot_us
                 ivl_delivered = 0
+                ivl_sent = 0
                 ivl_delay_sum = 0.0
                 ivl_min_delay = math.inf
 
@@ -603,9 +596,10 @@ def run_receiver(
                 continue
             log.chunks_received += 1
             if sid > log.max_sample_id:
+                # Sent estimate: serial ids are dense, so a new highest id
+                # accounts for every sample up to it, at the n it carries.
+                ivl_sent += (sid - log.max_sample_id) * pkt.n
                 log.max_sample_id = sid
-            if sid > ivl_max_id:
-                ivl_max_id = sid
             delay_ms = max(0.0, (arrival - pkt.gen_timestamp_us) / 1000.0)
             if delay_ms < min_delay_raw:
                 min_delay_raw = delay_ms

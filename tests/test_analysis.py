@@ -1,12 +1,16 @@
 """Closed-form channel model against independent series / MC references."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agefec
 from agefec.analysis import (
     age_event_prob,
     chunk_missing_prob,
@@ -50,6 +54,31 @@ def test_decode_probability_against_direct_sum():
     for k, n, p in [(3, 4, 0.19), (3, 6, 0.3), (1, 1, 0.5), (4, 8, 0.05), (2, 7, 0.9)]:
         direct = sum(binom_pmf(i, n, p) for i in range(n - k + 1))
         assert decode_probability(k, n, p) == pytest.approx(direct, rel=1e-12)
+
+
+def test_decode_probability_grid_against_pmf_sum():
+    """The math.comb sum over a grid of (k, n, p) and limits, edges included."""
+    for n in (1, 2, 4, 7, 16, 64, 255):
+        for k in sorted({1, max(1, n // 2), n}):
+            for p in (0.0, 1e-9, 0.05, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0):
+                for limit in sorted({-1, 0, n - k, n - k + 1, n}):
+                    got = decode_probability(k, n, p, max_missing=limit)
+                    if limit < 0:
+                        expected = 0.0
+                    elif limit >= n:
+                        expected = 1.0
+                    else:
+                        expected = min(1.0, sum(binom_pmf(i, n, p) for i in range(limit + 1)))
+                    assert 0.0 <= got <= 1.0
+                    assert got == pytest.approx(expected, rel=1e-12, abs=1e-300), (k, n, p, limit)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(agefec.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, agefec; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_decode_probability_edges():

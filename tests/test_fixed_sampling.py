@@ -15,7 +15,6 @@ from agefec.fixed_sampling import (
     FixedSamplingState,
     IntervalStats,
     SelectionPolicy,
-    interval_mean_delay,
     optimal_selection_probs,
     run_sim,
     select_chunks,
@@ -86,11 +85,6 @@ def test_select_chunks_honors_probability():
         1 for now in range(1, 5001) if select_chunks(policy, now, 1, rng)
     )
     assert hits / 5000 == pytest.approx(0.6, abs=0.03)
-
-
-def test_interval_mean_delay_empty_is_inf():
-    assert math.isinf(interval_mean_delay([]))
-    assert interval_mean_delay([2, 3, 4]) == pytest.approx(3.0)
 
 
 def test_interval_stats_validation():
@@ -266,3 +260,26 @@ def test_run_sim_trace_collection():
     assert res.age_trace is not None
     assert len(res.age_trace) == 501
     assert res.age_trace[0] == 5  # starts at the threshold
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"loss": LossModel(0.4, 0.3), "initial_age": 0},
+        {"q_s": 2.0, "initial_rate": 4.0, "initial_age": 9, "rng_seed": 3},
+        {"coding": CodingParams(3, 5), "avt": 3, "monitoring_interval": 7},
+    ],
+)
+def test_violation_counts_match_age_trace(overrides):
+    """The engine counts violations per stretch of constant age; the trace is per slot."""
+    cfg = make_config(duration=3_000, **overrides)
+    res = run_sim(cfg, collect_trace=True)
+    ages = [int(a) for a in res.age_trace[1:]]
+    assert res.av == sum(a >= cfg.avt for a in ages) / cfg.duration
+    assert res.av_strict == sum(a > cfg.avt for a in ages) / cfg.duration
+    t_tilde = cfg.monitoring_interval
+    for mi, row in enumerate(res.rows, start=1):
+        window = ages[(mi - 1) * t_tilde : mi * t_tilde]
+        assert row[2] == sum(a > cfg.avt for a in window) / t_tilde
+    assert 0.0 < res.av < 1.0

@@ -1,15 +1,17 @@
 """Slotted bottleneck path: credit service, delays, loss, conservation."""
 
+import math
 import random
 
 import pytest
 
-from agefec.core import CodingParams, LossModel, ParameterError
+from agefec.core import AgeTracker, CodingParams, LossModel, ParameterError, ReceiverChunkStore
 from agefec.netsim import (
     SERVICE_RATE_PER_DATA_CHUNK,
     BottleneckPath,
     SimConfig,
     run_fixed_rate_sim,
+    run_slots,
     stream,
 )
 
@@ -57,8 +59,13 @@ def test_credit_accumulator_serves_fractional_rate():
     cfg = lossless_config(q_s=1.4706, propagation_delay=1)
     path = BottleneckPath(cfg)
     path.inject([("c", i) for i in range(100)], now=1)
-    served = [len(path.advance_slot(t)) for t in range(1, 4)]
+    occupancy = [path.occupancy]
+    for t in range(1, 4):
+        path.advance_slot(t)
+        occupancy.append(path.occupancy)
+    served = [before - after for before, after in zip(occupancy, occupancy[1:])]
     assert served == [1, 1, 2]
+    assert path.in_flight == 4
     # carried credit after three slots is 3 * 1.4706 - 4
     assert path._credit == pytest.approx(0.4118)
 
@@ -70,8 +77,11 @@ def test_idle_credit_is_not_banked():
         path.advance_slot(t)  # queue empty the whole time
     path.inject([("c", 0)], now=6)
     # no banked credit: first service only once 0.9 * 2 >= 1
-    assert len(path.advance_slot(6)) == 0
-    assert len(path.advance_slot(7)) == 1
+    path.advance_slot(6)
+    assert (path.occupancy, path.in_flight) == (1, 0)
+    path.advance_slot(7)
+    assert (path.occupancy, path.in_flight) == (0, 1)
+    assert path.deliveries_at(9) == [(("c", 0), 3)]
 
 
 def test_delivery_delay_floor_is_one_plus_propagation():
@@ -96,40 +106,54 @@ def test_queueing_adds_to_delay():
     # served at slots 1,2,3 -> delivered at 3,4,5 with delays 2,3,4
     path2 = BottleneckPath(cfg)
     path2.inject([("a",), ("b",), ("c",)], now=1)
-    delays = []
+    arrivals = []
     for t in range(1, 7):
         path2.advance_slot(t)
-        delays.extend(d for _o, d in path2.deliveries_at(t))
-    assert delays == [2, 3, 4]
+        arrivals.extend(path2.deliveries_at(t))
+    # FIFO: the chunks leave in injection order, each waiting one slot more
+    assert arrivals == [(("a",), 2), (("b",), 3), (("c",), 4)]
 
 
 def test_buffer_drop_when_full():
     cfg = lossless_config(q_s=1.0, buffer_capacity=3)
     path = BottleneckPath(cfg)
-    fates = path.inject([("c", i) for i in range(5)], now=1)
-    assert fates.count("enqueued") == 3
-    assert fates.count("dropped_buffer") == 2
+    path.inject([("c", i) for i in range(5)], now=1)
+    assert path.injected == 5
     assert path.dropped_buffer == 2
     assert path.occupancy == 3
+    assert path.lost_in == 0
+    # the first three were queued, the last two dropped
+    for t in range(1, 6):
+        path.advance_slot(t)
+    assert [obj for obj, _ in path.deliveries_at(3)] == [("c", 0)]
+    assert [obj for obj, _ in path.deliveries_at(4)] == [("c", 1)]
+    assert [obj for obj, _ in path.deliveries_at(5)] == [("c", 2)]
 
 
 def test_entry_loss_skips_queue_and_service():
     cfg = lossless_config(loss=LossModel(1.0, 0.0))
     path = BottleneckPath(cfg)
-    fates = path.inject([("c", i) for i in range(10)], now=1)
-    assert set(fates) == {"lost_in"}
-    assert path.occupancy == 0
+    path.inject([("c", i) for i in range(10)], now=1)
+    assert path.injected == 10
     assert path.lost_in == 10
+    assert path.dropped_buffer == 0
+    assert path.occupancy == 0
+    path.advance_slot(1)
+    assert (path.lost_out, path.in_flight) == (0, 0)
 
 
 def test_exit_loss_consumes_service():
     cfg = lossless_config(q_s=1.0, loss=LossModel(0.0, 1.0))
     path = BottleneckPath(cfg)
     path.inject([("c", 0), ("c", 1)], now=1)
-    served = path.advance_slot(1)
-    assert served == [(("c", 0), "lost_out")]
+    path.advance_slot(1)
+    # one slot of service spent on a chunk that never arrives
     assert path.lost_out == 1
     assert path.in_flight == 0
+    assert path.occupancy == 1
+    path.advance_slot(2)
+    assert (path.lost_out, path.occupancy) == (2, 0)
+    assert path.conservation_holds()
 
 
 def test_conservation_under_random_traffic():
@@ -151,6 +175,126 @@ def test_conservation_under_random_traffic():
             path.advance_slot(t)
             path.deliveries_at(t)
             assert path.conservation_holds()
+        assert path.injected > 0
+
+
+class ScriptedSender:
+    """Replays pre-drawn codewords and keeps every Interval it is handed."""
+
+    schema = "scripted/1"
+    columns = ()
+
+    def __init__(self, script):
+        self.script = script
+        self.rows = []
+        self.intervals = []
+
+    def emit(self, t):
+        return self.script[t]
+
+    def boundary(self, t, interval):
+        self.intervals.append(interval)
+        return 1
+
+
+def test_engine_matches_reference_models_under_random_traffic():
+    """run_slots agrees with BottleneckPath, ReceiverChunkStore and AgeTracker.
+
+    The reference replays the engine's traffic chunk by chunk on the same
+    seed, including its selection draws from the "select" stream, and every
+    per-slot Interval, age and counter must match.
+    """
+    rng = random.Random(11)
+    for trial in range(30):
+        flows = rng.choice((1, 2, 3))
+        k = rng.randrange(1, 3)
+        cfg = SimConfig(
+            coding=CodingParams(k, 3),
+            avt=3,
+            q_s=rng.uniform(0.5, 6.0),
+            buffer_capacity=rng.randrange(1, 40),
+            loss=LossModel(rng.uniform(0, 0.5), rng.uniform(0, 0.5)),
+            propagation_delay=rng.randrange(0, 4),
+            duration=rng.randrange(50, 200),
+            monitoring_interval=1,
+            rng_seed=trial,
+            initial_age=rng.randrange(0, 4),
+        )
+        # Half the trials send fresh codewords with serial ids, half resend
+        # recent samples by generation slot, which produces duplicates.
+        by_gen = trial % 2 == 0
+        script, serial = {}, 0
+        for t in range(1, cfg.duration + 1):
+            burst = []
+            for _ in range(rng.randrange(0, 4)):
+                serial += 1
+                age = rng.randrange(0, 4) if by_gen else 0
+                burst.append(
+                    (rng.randrange(flows), age, None if by_gen else serial,
+                     rng.randrange(1, 4), rng.choice((1.0, 0.5)))
+                )
+            script[t] = burst
+        sender = ScriptedSender(script)
+        result, totals = run_slots(cfg, sender, flow_avts=(cfg.avt,) * flows, collect_trace=True)
+
+        path = BottleneckPath(cfg)
+        select = stream(cfg.rng_seed, "select").random
+        stores = [ReceiverChunkStore(k) for _ in range(flows)]
+        trackers = [AgeTracker(cfg.avt, cfg.initial_age) for _ in range(flows)]
+        freshest = [-cfg.initial_age] * flows
+        delivered, decoded = [0] * flows, [0] * flows
+        ages, occupancy = [cfg.initial_age], []
+        for t, interval in enumerate(sender.intervals, start=1):
+            arrivals = path.deliveries_at(t)
+            assert interval.delivered == len(arrivals)
+            assert interval.delay_sum == sum(delay for _, delay in arrivals)
+            assert interval.mean_delay == (
+                interval.delay_sum / len(arrivals) if arrivals else math.inf
+            )
+            assert interval.min_delay == min((delay for _, delay in arrivals), default=math.inf)
+            refreshed = [[] for _ in range(flows)]
+            for (f, sample, index, gen), _delay in arrivals:
+                delivered[f] += 1
+                if stores[f].add(sample, index):
+                    decoded[f] += 1
+                    if gen > freshest[f]:
+                        freshest[f] = gen
+                        refreshed[f].append((gen, t))
+            for f in range(flows):
+                assert interval.decodes[f][1:] == refreshed[f]
+                assert interval.flow_delivered[f] == sum(1 for (g, *_), _d in arrivals if g == f)
+                age = trackers[f].step(t, [gen for gen, _ in refreshed[f]])
+                if f == 0:
+                    ages.append(age)
+            chunks = []
+            for f, age, sample, n, p in script[t]:
+                gen = t - age
+                if gen < 1:
+                    continue
+                chunks += [
+                    (f, gen if sample is None else sample, i, gen)
+                    for i in range(n)
+                    if p >= 1.0 or select() < p
+                ]
+            path.inject(chunks, t)
+            path.advance_slot(t)
+            occupancy.append(path.occupancy)
+
+        assert len(sender.intervals) == cfg.duration
+        assert result.counts == {
+            "injected": path.injected,
+            "lost_in": path.lost_in,
+            "dropped_buffer": path.dropped_buffer,
+            "lost_out": path.lost_out,
+            "delivered": path.delivered,
+            "in_flight": path.in_flight,
+            "queued": path.occupancy,
+        }
+        assert result.occupancy_max == max(occupancy)
+        assert result.occupancy_mean == sum(occupancy) / cfg.duration
+        assert list(result.age_trace) == ages
+        assert totals.delivered == delivered
+        assert totals.decoded == decoded
         assert path.injected > 0
 
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from agefec.adaptive_sampling import ADAPTIVE_COLUMNS
 from agefec.core import ParameterError
 from agefec.wire import (
     CHUNK_MAGIC,
@@ -259,3 +260,47 @@ def test_crafted_feedback_changes_sender_pacing():
     assert log.final_n == 4
     assert log.final_sigma == pytest.approx(0.25)
     assert any(row[4] == "apply" for row in log.rows)
+
+
+def test_receiver_pdr_follows_the_n_packets_carry():
+    """The receiver estimates sent chunks from the n in the packets, not its own n.
+
+    With a fixed-rate sender the receiver's controller still moves its own n;
+    the delivery ratio it reports must stay at the shim's pass ratio anyway.
+    """
+    recv_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    recv_sock.bind(("127.0.0.1", 0))
+    stop = threading.Event()
+    samples = 2000
+    cfg = WireConfig(
+        dest=recv_sock.getsockname(),
+        k=8,
+        n_init=16,
+        avt_ms=40,
+        payload_bytes=64,
+        samples=samples,
+        fixed_rate=16.0,
+        drop_shim=0.1,
+        shim_seed=5,
+    )
+    result = {}
+
+    def recv_main():
+        result["log"] = run_receiver(cfg, stop=stop, sock=recv_sock, max_samples=samples)
+
+    thread = threading.Thread(target=recv_main)
+    thread.start()
+    try:
+        send_log = run_sender(cfg)
+        thread.join(timeout=10.0)
+    finally:
+        stop.set()
+        thread.join(timeout=2.0)
+        recv_sock.close()
+    assert not thread.is_alive()
+    pass_ratio = send_log.chunks_sent / (send_log.chunks_sent + send_log.shim_dropped)
+    rows = result["log"].rows
+    pdr_col = ADAPTIVE_COLUMNS.index("pdr")
+    assert len(rows) >= 3
+    for row in rows[1:]:
+        assert abs(row[pdr_col] - pass_ratio) <= 0.05, (row, pass_ratio)
