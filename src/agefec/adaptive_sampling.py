@@ -211,15 +211,13 @@ def process_interval(
     sigma_min: float = 0.99,
     sigma_max: float | None = None,
     candidates=None,
-    probe_cap_over_n: bool = False,
 ) -> tuple[AdaptiveSamplingState, str]:
     """One feedback step; returns the committed state and the branch taken.
 
     Order matters: trend EMAs fold in the new interval, the path floor delay
     updates, the block length is re-selected from delivery evidence, then a
     single branch moves the rate, which is clamped and used to recompute both
-    pacing intervals.  probe_cap_over_n tightens the cautious-probe cap from
-    1.2 sigma to 1.2 sigma / n.
+    pacing intervals.
     """
     hi = sigma_ceiling(k, avt) if sigma_max is None else sigma_max
     hi = max(hi, sigma_min)
@@ -265,8 +263,7 @@ def process_interval(
                 branch = "5b"
             df = False
         elif w >= w_ema and not df:
-            cap = 1.2 * sigma / n if probe_cap_over_n else 1.2 * sigma
-            sigma = min(sigma + (av_ema - av) / n, cap)
+            sigma = min(sigma + (av_ema - av) / n, 1.2 * sigma)
             ef = 0
             branch = "5c"
         else:

@@ -41,38 +41,26 @@ def chunk_missing_prob(loss: LossModel, elapsed: int) -> float:
     return total_loss_probability(loss) ** (elapsed + 1)
 
 
-def decode_probability(k: int, n: int, per_chunk_loss: float, max_missing: int | None = None) -> float:
-    """P(at most `max_missing` of n i.i.d. chunks are lost); default n - k.
-
-    With the default limit this is exactly the probability a sample decodes.
-    `max_missing` can be overridden (e.g. n - k + 1 reproduces a looser
-    variant that admits one more erasure than decodability allows).
-    """
+def decode_probability(k: int, n: int, per_chunk_loss: float) -> float:
+    """P(at most n - k of n i.i.d. chunks are lost): the probability a sample decodes."""
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k} n={n}")
     if not 0.0 <= per_chunk_loss <= 1.0:
         raise ParameterError(f"per_chunk_loss must lie in [0, 1], got {per_chunk_loss}")
-    limit = n - k if max_missing is None else max_missing
-    if limit < 0:
-        return 0.0
-    if limit >= n:
-        return 1.0
     if per_chunk_loss == 0.0:
         return 1.0
     if per_chunk_loss == 1.0:
         return 0.0
     q = 1.0 - per_chunk_loss
     total = sum(
-        math.comb(n, i) * per_chunk_loss**i * q ** (n - i) for i in range(limit + 1)
+        math.comb(n, i) * per_chunk_loss**i * q ** (n - i) for i in range(n - k + 1)
     )
     return min(1.0, total)
 
 
-def sample_decode_prob(
-    coding: CodingParams, loss: LossModel, elapsed: int, max_missing: int | None = None
-) -> float:
+def sample_decode_prob(coding: CodingParams, loss: LossModel, elapsed: int) -> float:
     """Probability a sample decodes within `elapsed` slots of its generation."""
-    return decode_probability(coding.k, coding.n, chunk_missing_prob(loss, elapsed), max_missing)
+    return decode_probability(coding.k, coding.n, chunk_missing_prob(loss, elapsed))
 
 
 def age_event_prob(e: int, t: int, coding: CodingParams, loss: LossModel) -> float:

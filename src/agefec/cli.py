@@ -4,96 +4,74 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .core import ParameterError
 from .experiments import (
+    CONFIG_KEYS,
     MODES,
     PRESETS,
     ConfigError,
+    ExperimentSpec,
     build_spec,
     run_experiment,
-    _parse_addr,
-    _parse_int_tuple,
 )
+
+# Flags spelled other than "--" + the field name with '-' for '_'.
+_FLAGS = {
+    "out_dir": "--out",
+    "seed_base": "--seed",
+    "q_s": "--qs",
+    "buffer_capacity": "--buffer",
+    "p_in": "--pin",
+    "p_out": "--pout",
+    "propagation_delay": "--propagation",
+    "monitoring_interval": "--interval",
+    "log_path": "--log",
+}
+
+# The first field of each help section after the general one.
+_GROUPS = {"k": "simulation parameters", "dest": "wire endpoints"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One flag per ExperimentSpec field; flags left out stay out of the
+    namespace, so only the ones given override the preset and the file."""
     parser = argparse.ArgumentParser(
         prog="agefec",
         description=(
             "Age-aware FEC experiments: simulators, analytic bounds, and the "
             "UDP reference transport."
         ),
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("mode", choices=MODES, help="experiment to run")
     parser.add_argument("--preset", choices=sorted(PRESETS), help="named parameter bundle")
     parser.add_argument("--config", metavar="FILE", help="key=value config file")
-    parser.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
-    parser.add_argument("--name", help="experiment label used in file names")
-    parser.add_argument("--runs", type=int, help="seeded repetitions")
-    parser.add_argument("--seed", dest="seed_base", type=int, help="first seed")
-
-    sim = parser.add_argument_group("simulation parameters")
-    sim.add_argument("--k", type=int, help="data chunks per sample")
-    sim.add_argument("--n", type=int, help="coded chunks per sample")
-    sim.add_argument("--sample-bits", dest="sample_bits", type=int)
-    sim.add_argument("--avt", type=int, help="age violation threshold, slots")
-    sim.add_argument("--qs", dest="q_s", type=float, help="service rate, chunks/slot")
-    sim.add_argument("--buffer", dest="buffer_capacity", type=int)
-    sim.add_argument("--pin", dest="p_in", type=float, help="pre-queue loss probability")
-    sim.add_argument("--pout", dest="p_out", type=float, help="post-queue loss probability")
-    sim.add_argument("--propagation", dest="propagation_delay", type=int)
-    sim.add_argument("--duration", type=int, help="slots per run")
-    sim.add_argument("--interval", dest="monitoring_interval", type=int)
-    sim.add_argument("--initial-age", dest="initial_age", type=int)
-    sim.add_argument("--initial-rate", dest="initial_rate", type=float)
-    sim.add_argument("--sample-memory", dest="sample_memory", type=int)
-    sim.add_argument("--rtt-init", dest="rtt_init", type=float)
-    sim.add_argument("--sigma-min", dest="sigma_min", type=float)
-    sim.add_argument("--sigma-max", dest="sigma_max", type=float)
-    sim.add_argument(
-        "--block-candidates", dest="block_candidates", type=_parse_int_tuple,
-        metavar="N,N,...",
-    )
-    sim.add_argument("--rate", type=float, help="baseline-fixed codeword rate")
-    sim.add_argument("--sweep-n", dest="sweep_n", type=_parse_int_tuple, metavar="N,N,...")
-    sim.add_argument("--flow-count", dest="flow_count", type=int)
-    sim.add_argument("--flow-avts", dest="flow_avts", type=_parse_int_tuple, metavar="A,A,...")
-
-    wire = parser.add_argument_group("wire endpoints")
-    wire.add_argument("--dest", type=_parse_addr, metavar="HOST:PORT")
-    wire.add_argument("--listen", type=_parse_addr, metavar="HOST:PORT")
-    wire.add_argument("--avt-ms", dest="avt_ms", type=int)
-    wire.add_argument("--slot-ms", dest="slot_ms", type=int)
-    wire.add_argument("--n-init", dest="n_init", type=int)
-    wire.add_argument("--payload-bytes", dest="payload_bytes", type=int)
-    wire.add_argument("--samples", type=int, help="sender stop count / receiver target")
-    wire.add_argument("--fixed-rate", dest="fixed_rate", type=float)
-    wire.add_argument("--drop-shim", dest="drop_shim", type=float, metavar="P")
-    wire.add_argument("--delay-shim-ms", dest="delay_shim_ms", type=float)
-    wire.add_argument(
-        "--relative-delay", dest="relative_delay", action="store_true", default=None
-    )
-    wire.add_argument("--shim-seed", dest="shim_seed", type=int)
-    wire.add_argument("--log", dest="log_path", metavar="PATH")
+    parsers = dict(CONFIG_KEYS.values())
+    group = parser
+    for f in fields(ExperimentSpec):
+        if f.name == "mode":
+            continue
+        if f.name in _GROUPS:
+            group = parser.add_argument_group(_GROUPS[f.name])
+        flag = _FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
+        kwargs = dict(dest=f.name, help=f.metadata.get("help"))
+        if f.type == "bool":
+            kwargs["action"] = "store_true"
+        else:
+            kwargs.update(type=parsers[f.name], metavar=f.metadata.get("metavar"))
+        group.add_argument(flag, **kwargs)
     return parser
-
-
-_SKIP_KEYS = ("preset", "config")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    overrides = {
-        key: value
-        for key, value in vars(args).items()
-        if value is not None and key not in _SKIP_KEYS
-    }
+    overrides = vars(parser.parse_args(argv))
+    preset = overrides.pop("preset", None)
+    config_path = overrides.pop("config", None)
     try:
-        spec = build_spec(
-            preset=args.preset, config_path=args.config, overrides=overrides
-        )
+        spec = build_spec(preset, config_path, overrides)
         aggregate = run_experiment(spec)
     except (ConfigError, ParameterError) as exc:
         print(f"agefec: error: {exc}", file=sys.stderr)

@@ -7,12 +7,15 @@ from those CSVs.  Identical spec and seeds give byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
+import signal
 import statistics
-from dataclasses import asdict, dataclass, replace
+import threading
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import adaptive_sampling, fixed_sampling, multiflow, netsim
 from .analysis import (
@@ -45,26 +48,35 @@ class ConfigError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+def _arg(default, help: str | None = None, metavar: str | None = None):
+    """A field default plus the help text and metavar of its command-line flag."""
+    return field(default=default, metadata={"help": help, "metavar": metavar})
+
+
 @dataclass
 class ExperimentSpec:
-    """Everything needed to execute one experiment end to end."""
+    """Everything needed to execute one experiment end to end.
+
+    The fields are the one list of experiment parameters: config keys and
+    command-line flags are derived from them.
+    """
 
     mode: str = "fsfb-sim"
-    name: str | None = None
-    runs: int = 1
-    seed_base: int = 0
-    out_dir: str = "."
+    name: str | None = _arg(None, "experiment label used in file names")
+    runs: int = _arg(1, "seeded repetitions")
+    seed_base: int = _arg(0, "first seed")
+    out_dir: str = _arg(".", "output directory", "DIR")
     # Simulation parameters (SimConfig is built per run with its seed).
-    k: int = 3
-    n: int = 4
+    k: int = _arg(3, "data chunks per sample")
+    n: int = _arg(4, "coded chunks per sample")
     sample_bits: int = 8192
-    avt: int = 5
-    q_s: float | None = None
+    avt: int = _arg(5, "age violation threshold, slots")
+    q_s: float | None = _arg(None, "service rate, chunks/slot")
     buffer_capacity: int = 5000
-    p_in: float = 0.1
-    p_out: float = 0.1
+    p_in: float = _arg(0.1, "pre-queue loss probability")
+    p_out: float = _arg(0.1, "post-queue loss probability")
     propagation_delay: int = 1
-    duration: int = 100_000
+    duration: int = _arg(100_000, "slots per run")
     monitoring_interval: int = 100
     initial_age: int | None = None
     initial_rate: float | None = None
@@ -72,26 +84,26 @@ class ExperimentSpec:
     rtt_init: float | None = None
     sigma_min: float = 0.99
     sigma_max: float | None = None
-    block_candidates: tuple[int, ...] | None = None
+    block_candidates: tuple[int, ...] | None = _arg(None, metavar="N,N,...")
     # Mode extras.
-    rate: float = 1.0  # baseline-fixed codeword rate
-    sweep_n: tuple[int, ...] = (3, 4, 5, 6, 7, 8, 9)
+    rate: float = _arg(1.0, "baseline-fixed codeword rate")
+    sweep_n: tuple[int, ...] = _arg((3, 4, 5, 6, 7, 8, 9), metavar="N,N,...")
     flow_count: int = 2
-    flow_avts: tuple[int, ...] | None = None
+    flow_avts: tuple[int, ...] | None = _arg(None, metavar="A,A,...")
     # Wire endpoints.
-    dest: tuple[str, int] | None = None
-    listen: tuple[str, int] | None = None
+    dest: tuple[str, int] | None = _arg(None, metavar="HOST:PORT")
+    listen: tuple[str, int] | None = _arg(None, metavar="HOST:PORT")
     avt_ms: int = 100
     slot_ms: int = 1
     n_init: int = 5
     payload_bytes: int = 1024
-    samples: int = 0
+    samples: int = _arg(0, "sender stop count / receiver target")
     fixed_rate: float | None = None
-    drop_shim: float = 0.0
+    drop_shim: float = _arg(0.0, metavar="P")
     delay_shim_ms: float = 0.0
     relative_delay: bool = False
     shim_seed: int = 0
-    log_path: str | None = None
+    log_path: str | None = _arg(None, metavar="PATH")
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -103,45 +115,24 @@ class ExperimentSpec:
     def label(self) -> str:
         return self.name if self.name else self.mode
 
+    def _shared(self, cls, **explicit):
+        """Build cls from the fields it shares by name with this spec."""
+        ours = self.__dataclass_fields__
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name in ours}
+        return cls(**shared, **explicit)
+
     def sim_config(self, seed: int) -> SimConfig:
-        return SimConfig(
+        return self._shared(
+            SimConfig,
             coding=CodingParams(self.k, self.n, self.sample_bits),
-            avt=self.avt,
-            q_s=self.q_s,
-            buffer_capacity=self.buffer_capacity,
             loss=LossModel(self.p_in, self.p_out),
-            propagation_delay=self.propagation_delay,
-            duration=self.duration,
-            monitoring_interval=self.monitoring_interval,
             rng_seed=seed,
-            initial_age=self.initial_age,
-            initial_rate=self.initial_rate,
-            sample_memory=self.sample_memory,
-            rtt_init=self.rtt_init,
-            sigma_min=self.sigma_min,
-            sigma_max=self.sigma_max,
-            block_candidates=self.block_candidates,
         )
 
     def wire_config(self):
         from .wire import WireConfig
 
-        return WireConfig(
-            dest=self.dest,
-            listen=self.listen,
-            k=self.k,
-            n_init=self.n_init,
-            avt_ms=self.avt_ms,
-            slot_ms=self.slot_ms,
-            payload_bytes=self.payload_bytes,
-            samples=self.samples,
-            fixed_rate=self.fixed_rate,
-            drop_shim=self.drop_shim,
-            delay_shim_ms=self.delay_shim_ms,
-            relative_delay=self.relative_delay,
-            shim_seed=self.shim_seed,
-            log_path=self.log_path,
-        )
+        return self._shared(WireConfig)
 
 
 # Named parameter bundles reproducing the headline experiments.  The
@@ -203,76 +194,49 @@ def _opt(parser):
     def parse(text: str):
         return None if text.strip().lower() in ("", "none") else parser(text)
 
+    parse.__name__ = parser.__name__  # argparse names the type in its errors
     return parse
 
 
-# key name -> (attribute, value parser)
+# ExperimentSpec annotation -> value parser; an optional also takes 'none'.
+_PARSERS = {
+    "str": str.strip,
+    "str | None": _opt(str.strip),
+    "int": int,
+    "int | None": _opt(int),
+    "float": float,
+    "float | None": _opt(float),
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_int_tuple,
+    "tuple[int, ...] | None": _opt(_parse_int_tuple),
+    "tuple[str, int] | None": _opt(_parse_addr),
+}
+
+# config key -> (ExperimentSpec field, value parser); 'log' is the key of log_path
 CONFIG_KEYS: dict[str, tuple[str, object]] = {
-    "mode": ("mode", str.strip),
-    "name": ("name", str.strip),
-    "runs": ("runs", int),
-    "seed_base": ("seed_base", int),
-    "out_dir": ("out_dir", str.strip),
-    "k": ("k", int),
-    "n": ("n", int),
-    "sample_bits": ("sample_bits", int),
-    "avt": ("avt", int),
-    "q_s": ("q_s", _opt(float)),
-    "buffer_capacity": ("buffer_capacity", int),
-    "p_in": ("p_in", float),
-    "p_out": ("p_out", float),
-    "propagation_delay": ("propagation_delay", int),
-    "duration": ("duration", int),
-    "monitoring_interval": ("monitoring_interval", int),
-    "initial_age": ("initial_age", _opt(int)),
-    "initial_rate": ("initial_rate", _opt(float)),
-    "sample_memory": ("sample_memory", _opt(int)),
-    "rtt_init": ("rtt_init", _opt(float)),
-    "sigma_min": ("sigma_min", float),
-    "sigma_max": ("sigma_max", _opt(float)),
-    "block_candidates": ("block_candidates", _opt(_parse_int_tuple)),
-    "rate": ("rate", float),
-    "sweep_n": ("sweep_n", _parse_int_tuple),
-    "flow_count": ("flow_count", int),
-    "flow_avts": ("flow_avts", _opt(_parse_int_tuple)),
-    "dest": ("dest", _opt(_parse_addr)),
-    "listen": ("listen", _opt(_parse_addr)),
-    "avt_ms": ("avt_ms", int),
-    "slot_ms": ("slot_ms", int),
-    "n_init": ("n_init", int),
-    "payload_bytes": ("payload_bytes", int),
-    "samples": ("samples", int),
-    "fixed_rate": ("fixed_rate", _opt(float)),
-    "drop_shim": ("drop_shim", float),
-    "delay_shim_ms": ("delay_shim_ms", float),
-    "relative_delay": ("relative_delay", _parse_bool),
-    "shim_seed": ("shim_seed", int),
-    "log": ("log_path", str.strip),
+    ("log" if f.name == "log_path" else f.name): (f.name, _PARSERS[f.type])
+    for f in fields(ExperimentSpec)
 }
 
 
-def apply_preset(updates: dict, preset: str) -> dict:
-    """Overlay a named preset's parameters; explicit updates keep priority."""
-    if preset not in PRESETS:
+def _preset(name: str, line: int | None = None) -> dict:
+    if name not in PRESETS:
         raise ConfigError(
-            f"unknown preset {preset!r}; choose from {', '.join(sorted(PRESETS))}"
+            f"unknown preset {name!r}; choose from {', '.join(sorted(PRESETS))}", line
         )
-    merged = dict(PRESETS[preset])
-    merged.update(updates)
-    return merged
+    return PRESETS[name]
 
 
-def parse_config(path: str) -> ExperimentSpec:
-    """Read a key=value file into an ExperimentSpec.
+def parse_config(path: str) -> dict:
+    """Read a key=value file into a dict of ExperimentSpec field values.
 
-    Blank lines and '#' comments are skipped.  A 'preset' line pulls in the
-    named bundle; later lines override it.  Unknown keys and unparsable
-    values fail with their line number.
+    Blank lines and '#' comments are skipped.  A 'preset' line expands the
+    named bundle where it stands, so later lines override it.  Unknown keys
+    and presets and unparsable values fail with their line number.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
-    updates: dict = {}
-    preset: str | None = None
+    values: dict = {}
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
@@ -283,21 +247,16 @@ def parse_config(path: str) -> ExperimentSpec:
         key = key.strip()
         value = value.strip()
         if key == "preset":
-            preset = value
+            values.update(_preset(value, lineno))
             continue
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
         attr, parser = CONFIG_KEYS[key]
         try:
-            updates[attr] = parser(value)
+            values[attr] = parser(value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid value for {key}: {value!r} ({exc})", lineno)
-    if preset is not None:
-        updates = apply_preset(updates, preset)
-    try:
-        return ExperimentSpec(**updates)
-    except (ParameterError, TypeError) as exc:
-        raise ConfigError(str(exc))
+    return values
 
 
 def build_spec(
@@ -305,23 +264,13 @@ def build_spec(
     config_path: str | None = None,
     overrides: dict | None = None,
 ) -> ExperimentSpec:
-    """Combine preset, config file, and explicit overrides (low to high)."""
-    updates: dict = {}
+    """Merge preset < config file < overrides (field values) into one spec."""
+    values = dict(_preset(preset)) if preset is not None else {}
     if config_path is not None:
-        spec = parse_config(config_path)
-        updates = {
-            key: getattr(spec, key)
-            for key in ExperimentSpec.__dataclass_fields__
-            if getattr(spec, key) != ExperimentSpec.__dataclass_fields__[key].default
-        }
-    if overrides:
-        updates.update(overrides)
-    if preset is not None:
-        updates = apply_preset(updates, preset)
-        if overrides:
-            updates.update(overrides)
+        values.update(parse_config(config_path))
+    values.update(overrides or {})
     try:
-        return ExperimentSpec(**updates)
+        return ExperimentSpec(**values)
     except (ParameterError, TypeError) as exc:
         raise ConfigError(str(exc))
 
@@ -403,6 +352,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         aggregate = _run_wire_recv(spec, label)
     else:  # pragma: no cover - mode validated in __post_init__
         raise ConfigError(f"unhandled mode {spec.mode!r}")
+    aggregate.update(experiment=label, mode=spec.mode, spec=_spec_record(spec))
     path = os.path.join(spec.out_dir, f"{label}.json")
     write_json(path, aggregate)
     return aggregate
@@ -432,9 +382,6 @@ def _run_sim_batch(spec: ExperimentSpec, label: str) -> dict:
     mean_strict, std_strict = _mean_std(r["av_strict"] for r in per_run)
     delays = [r["mean_delay"] for r in per_run if math.isfinite(r["mean_delay"])]
     return {
-        "experiment": label,
-        "mode": spec.mode,
-        "spec": _spec_record(spec),
         "per_run": per_run,
         "mean_av": mean_av,
         "std_av": std_av,
@@ -479,12 +426,7 @@ def _run_sweep(spec: ExperimentSpec, label: str) -> dict:
                 "mean_av_strict": mean_strict,
             }
         )
-    return {
-        "experiment": label,
-        "mode": spec.mode,
-        "spec": _spec_record(spec),
-        "points": points,
-    }
+    return {"points": points}
 
 
 BOUNDS_COLUMNS = (
@@ -520,9 +462,6 @@ def _run_bounds(spec: ExperimentSpec, label: str) -> dict:
         rows,
     )
     return {
-        "experiment": label,
-        "mode": spec.mode,
-        "spec": _spec_record(spec),
         "sigma_upper_bound": sigma_up,
         "outage_at_avt": rows[-1][4],
     }
@@ -551,19 +490,33 @@ def _run_multiserver(spec: ExperimentSpec, label: str) -> dict:
         per_run.append(summary)
     mean_fair, std_fair = _mean_std(r["fairness_final"] for r in per_run)
     return {
-        "experiment": label,
-        "mode": spec.mode,
-        "spec": _spec_record(spec),
         "per_run": per_run,
         "mean_fairness_final": mean_fair,
         "std_fairness_final": std_fair,
     }
 
 
+@contextlib.contextmanager
+def _interrupt_stops():
+    """Yield a stop event that SIGINT sets, so an interrupted wire run
+    returns its log and its files still get written.  Off the main thread,
+    where Python cannot install a handler, SIGINT keeps its usual effect."""
+    stop = threading.Event()
+    if threading.current_thread() is not threading.main_thread():
+        yield stop
+        return
+    previous = signal.signal(signal.SIGINT, lambda signum, frame: stop.set())
+    try:
+        yield stop
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+
 def _run_wire_send(spec: ExperimentSpec, label: str) -> dict:
     from . import wire
 
-    log = wire.run_sender(spec.wire_config())
+    with _interrupt_stops() as stop:
+        log = wire.run_sender(spec.wire_config(), stop=stop)
     rows = log.rows
     path = spec.log_path or os.path.join(spec.out_dir, f"{label}-sender.csv")
     write_csv(
@@ -581,9 +534,6 @@ def _run_wire_send(spec: ExperimentSpec, label: str) -> dict:
         },
     )
     return {
-        "experiment": label,
-        "mode": spec.mode,
-        "spec": _spec_record(spec),
         "samples_sent": log.samples_sent,
         "chunks_sent": log.chunks_sent,
         "shim_dropped": log.shim_dropped,
@@ -597,10 +547,8 @@ def _run_wire_send(spec: ExperimentSpec, label: str) -> dict:
 def _run_wire_recv(spec: ExperimentSpec, label: str) -> dict:
     from . import wire
 
-    try:
-        log = wire.run_receiver(spec.wire_config(), max_samples=spec.samples)
-    except KeyboardInterrupt:  # pragma: no cover - interactive use
-        raise
+    with _interrupt_stops() as stop:
+        log = wire.run_receiver(spec.wire_config(), stop=stop, max_samples=spec.samples)
     path = spec.log_path or os.path.join(spec.out_dir, f"{label}-receiver.csv")
     write_csv(
         path,
@@ -618,9 +566,6 @@ def _run_wire_recv(spec: ExperimentSpec, label: str) -> dict:
         },
     )
     return {
-        "experiment": label,
-        "mode": spec.mode,
-        "spec": _spec_record(spec),
         "chunks_received": log.chunks_received,
         "decoded_samples": log.decoded_samples,
         "payload_ok": log.payload_ok,

@@ -38,37 +38,25 @@ class SelectionPolicy:
         return sum(self.probs)
 
 
-def optimal_selection_probs(
-    rate: float, avt: int, m: int, sum_exact: bool = True
-) -> SelectionPolicy:
+def optimal_selection_probs(rate: float, avt: int, m: int) -> SelectionPolicy:
     """Age-violation-minimizing selection vector for a codeword rate.
 
     All probability mass goes to the freshest samples: ones first, then one
-    fractional entry.  With sum_exact (the default) the fraction sits at index
-    floor(s) so the vector sums to s = min(rate, avt, m) and never touches
-    samples at or past the age threshold.  sum_exact=False reproduces an
-    older piecewise form (ones through floor(rate), fraction after), which
-    overshoots the intended sum by one.
+    fractional entry at index floor(s), so the vector sums to
+    s = min(rate, avt, m) and never touches samples at or past the age
+    threshold.
     """
     if rate < 0:
         raise ParameterError(f"rate must be >= 0, got {rate}")
     if avt < 1 or m < 1:
         raise ParameterError(f"avt and m must be >= 1, got avt={avt} m={m}")
     probs = [0.0] * m
-    if sum_exact:
-        s = min(rate, float(avt), float(m))
-        whole = int(math.floor(s))
-        for j in range(whole):
-            probs[j] = 1.0
-        if whole < m:
-            probs[whole] = s - whole
-    else:
-        whole = int(math.floor(rate))
-        for j in range(m):
-            if j <= whole:
-                probs[j] = 1.0
-            elif j == whole + 1:
-                probs[j] = rate - whole
+    s = min(rate, float(avt), float(m))
+    whole = int(math.floor(s))
+    for j in range(whole):
+        probs[j] = 1.0
+    if whole < m:
+        probs[whole] = s - whole
     return SelectionPolicy(tuple(probs))
 
 

@@ -289,34 +289,6 @@ def test_branch_6b_worsening_but_draining():
     assert new.df is False and new.ef == 0
 
 
-def test_probe_cap_variant_collapses_rate():
-    state = base_state(sigma=1.0, sigma_last=1.0, av_ema=1.0, wbar_ema=1.0, df=False)
-    tight, branch = process_interval(
-        state,
-        stats(av=0.0, w=2.0, pdr=0.5),
-        avt=5,
-        k=3,
-        candidates=(4,),
-        probe_cap_over_n=True,
-    )
-    assert branch == "1"  # av == 0 short-circuits; use av > 0 instead
-    state2 = base_state(sigma=1.0, sigma_last=1.0, av_ema=1.0, wbar_ema=1.0, df=False)
-    loose, _ = process_interval(
-        state2, stats(av=0.01, w=2.0, pdr=0.5), avt=5, k=3, candidates=(4,)
-    )
-    tight2, b2 = process_interval(
-        state2,
-        stats(av=0.01, w=2.0, pdr=0.5),
-        avt=5,
-        k=3,
-        candidates=(4,),
-        probe_cap_over_n=True,
-    )
-    assert b2 == "5c"
-    assert tight2.sigma <= loose.sigma
-    assert tight2.sigma == pytest.approx(0.99)  # 1.2 sigma / n clamps to the floor
-
-
 def test_min_rtt_is_monotone():
     state = base_state(min_rtt=4.0)
     new, _ = process_interval(

@@ -57,20 +57,15 @@ def test_decode_probability_against_direct_sum():
 
 
 def test_decode_probability_grid_against_pmf_sum():
-    """The math.comb sum over a grid of (k, n, p) and limits, edges included."""
+    """The math.comb sum over a grid of (k, n, p), edges included; varying k
+    reaches every erasure limit n - k from 0 to n - 1."""
     for n in (1, 2, 4, 7, 16, 64, 255):
-        for k in sorted({1, max(1, n // 2), n}):
+        for k in range(1, n + 1):
             for p in (0.0, 1e-9, 0.05, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0):
-                for limit in sorted({-1, 0, n - k, n - k + 1, n}):
-                    got = decode_probability(k, n, p, max_missing=limit)
-                    if limit < 0:
-                        expected = 0.0
-                    elif limit >= n:
-                        expected = 1.0
-                    else:
-                        expected = min(1.0, sum(binom_pmf(i, n, p) for i in range(limit + 1)))
-                    assert 0.0 <= got <= 1.0
-                    assert got == pytest.approx(expected, rel=1e-12, abs=1e-300), (k, n, p, limit)
+                got = decode_probability(k, n, p)
+                expected = min(1.0, sum(binom_pmf(i, n, p) for i in range(n - k + 1)))
+                assert 0.0 <= got <= 1.0
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-300), (k, n, p)
 
 
 def test_import_loads_no_scipy():
@@ -87,15 +82,6 @@ def test_decode_probability_edges():
     assert decode_probability(3, 3, 0.19) == pytest.approx((1 - 0.19) ** 3)
     # known value used across the suite
     assert decode_probability(3, 4, 0.19) == pytest.approx(0.83436237, abs=1e-7)
-
-
-def test_decode_probability_max_missing_override():
-    # one extra admissible erasure adds exactly one pmf term
-    base = decode_probability(3, 6, 0.2)
-    loose = decode_probability(3, 6, 0.2, max_missing=4)
-    assert loose == pytest.approx(base + binom_pmf(4, 6, 0.2), rel=1e-12)
-    assert decode_probability(3, 6, 0.2, max_missing=-1) == 0.0
-    assert decode_probability(3, 6, 0.2, max_missing=6) == 1.0
 
 
 def test_sample_decode_prob_composes():

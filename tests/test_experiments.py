@@ -3,10 +3,17 @@
 import json
 import math
 import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from dataclasses import fields
 
 import pytest
 
-from agefec.cli import main
+import agefec
+from agefec.cli import _build_parser, main
 from agefec.experiments import (
     MODES,
     PRESETS,
@@ -77,7 +84,7 @@ def test_parse_config_roundtrip(tmp_path):
         "dest = 127.0.0.1:9000\n"
         "\n"
     )
-    spec = parse_config(str(path))
+    spec = build_spec(config_path=str(path))
     assert spec.mode == "vsvb-sim"
     assert spec.name == "smoke"
     assert spec.runs == 2
@@ -109,11 +116,11 @@ def test_parse_config_reports_line_numbers(tmp_path):
 def test_parse_config_preset_lines_are_overridable(tmp_path):
     path = tmp_path / "preset.conf"
     path.write_text("preset = table1-k3n4\nduration = 1000\n")
-    spec = parse_config(str(path))
-    assert spec.mode == "fsfb-sim"
-    assert spec.n == 4
-    assert spec.runs == 10  # from the preset
-    assert spec.duration == 1000  # file wins over the preset
+    values = parse_config(str(path))
+    assert values["mode"] == "fsfb-sim"
+    assert values["n"] == 4
+    assert values["runs"] == 10  # from the preset
+    assert values["duration"] == 1000  # file wins over the preset
 
 
 def test_build_spec_precedence():
@@ -124,6 +131,83 @@ def test_build_spec_precedence():
     assert spec.n == 4
     with pytest.raises(ConfigError):
         build_spec(preset="no-such-preset")
+
+
+@pytest.mark.parametrize(
+    "preset, text, field, file_value, flag_value",
+    [
+        # a file value equal to the spec default still beats the preset
+        ("sweep-avt2-p02", "p_in = 0.1\n", "p_in", 0.1, 0.3),
+        # a preset line expands where it stands, so later lines win
+        ("table1-k3n4", "preset = vsvb-lossy\nruns = 1\n", "runs", 1, 4),
+        ("vsvb-lossy", "mode = fsfb-sim\n", "mode", "fsfb-sim", "bounds"),
+    ],
+)
+def test_build_spec_merges_preset_then_file_then_overrides(
+    tmp_path, preset, text, field, file_value, flag_value
+):
+    path = tmp_path / "run.conf"
+    path.write_text(text)
+    spec = build_spec(preset=preset, config_path=str(path))
+    assert getattr(spec, field) == file_value
+    spec = build_spec(preset=preset, config_path=str(path), overrides={field: flag_value})
+    assert getattr(spec, field) == flag_value
+
+
+@pytest.mark.parametrize(
+    "flag, text, field, value",
+    [
+        ("--out", "results", "out_dir", "results"),
+        ("--seed", "7", "seed_base", 7),
+        ("--qs", "2.5", "q_s", 2.5),
+        ("--buffer", "40", "buffer_capacity", 40),
+        ("--pin", "0.2", "p_in", 0.2),
+        ("--pout", "0.3", "p_out", 0.3),
+        ("--propagation", "3", "propagation_delay", 3),
+        ("--interval", "50", "monitoring_interval", 50),
+        ("--log", "recv.csv", "log_path", "recv.csv"),
+    ],
+)
+def test_cli_legacy_flag_sets_only_its_field(flag, text, field, value):
+    # flags not given stay out of the namespace, so they cannot mask the
+    # preset or the config file
+    args = _build_parser().parse_args(["bounds", flag, text])
+    assert vars(args) == {"mode": "bounds", field: value}
+
+
+def test_cli_help_lists_one_flag_per_spec_field(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fsfb-sim", "--help"])
+    assert exc.value.code == 0
+    listing = capsys.readouterr().out.split("\noptions:", 1)[1]
+    flags = re.findall(r"^\s+(?:-h, )?(--[a-z-]+)", listing, re.MULTILINE)
+    legacy = {
+        "out_dir": "--out", "seed_base": "--seed", "q_s": "--qs",
+        "buffer_capacity": "--buffer", "p_in": "--pin", "p_out": "--pout",
+        "propagation_delay": "--propagation", "monitoring_interval": "--interval",
+        "log_path": "--log",
+    }
+    want = [
+        legacy.get(f.name, "--" + f.name.replace("_", "-"))
+        for f in fields(ExperimentSpec)
+        if f.name != "mode"
+    ]
+    assert sorted(flags) == sorted(want + ["--help", "--preset", "--config"])
+
+
+def test_cli_none_resets_an_optional_and_bad_values_exit_2(tmp_path, capsys):
+    code = main(
+        ["bounds", "--preset", "table1-k3n4", "--qs", "none", "--name", "qn",
+         "--out", str(tmp_path)]
+    )
+    assert code == 0
+    with open(tmp_path / "qn.json", encoding="utf-8") as fh:
+        assert json.load(fh)["spec"]["q_s"] is None  # the preset set 4.4118
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--qs", "x"])
+    assert exc.value.code == 2
+    assert "argument --qs: invalid float value: 'x'" in capsys.readouterr().err
 
 
 def test_csv_roundtrip(tmp_path):
@@ -269,3 +353,22 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["fsfb-sim", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "wibble" in err
+
+
+def test_interrupted_wire_recv_writes_its_files(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(agefec.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "agefec.cli", "wire-recv", "--listen", "127.0.0.1:0",
+           "--out", str(tmp_path)]
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        time.sleep(1.5)  # imports and binds well inside this on an idle host
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=20)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0, err
+    assert (tmp_path / "wire-recv-receiver.csv").exists()
+    assert (tmp_path / "wire-recv.json").exists()

@@ -39,12 +39,6 @@ def test_selection_probs_caps():
     assert optimal_selection_probs(0.0, avt=5, m=4).expected_codewords == 0.0
 
 
-def test_selection_probs_legacy_form_overshoots_by_one():
-    policy = optimal_selection_probs(2.5, avt=5, m=8, sum_exact=False)
-    assert policy.probs[:4] == (1.0, 1.0, 1.0, 0.5)
-    assert policy.expected_codewords == pytest.approx(3.5)
-
-
 @given(rate=st.floats(0.0, 12.0), avt=st.integers(1, 10), m=st.integers(1, 12))
 def test_selection_probs_sum_invariant(rate, avt, m):
     policy = optimal_selection_probs(rate, avt, m)
