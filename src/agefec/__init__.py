@@ -34,9 +34,9 @@ from .fixed_sampling import (
     update_controller,
 )
 from .adaptive_sampling import (
+    AdaptiveController,
     AdaptiveIntervalStats,
     AdaptiveSamplingState,
-    DecodeLog,
     interval_age_violation,
     process_interval,
     run_adaptive_flows,
@@ -50,6 +50,7 @@ from . import adaptive_sampling, experiments, fixed_sampling, multiflow, wire
 __version__ = "0.1.0"
 
 __all__ = [
+    "AdaptiveController",
     "AdaptiveIntervalStats",
     "AdaptiveSamplingState",
     "AgeTracker",
@@ -58,7 +59,6 @@ __all__ = [
     "ChunkPacket",
     "CodingError",
     "CodingParams",
-    "DecodeLog",
     "ExperimentSpec",
     "FeedbackPacket",
     "FixedSamplingState",

@@ -13,7 +13,7 @@ flows, and with a single flow and no hook it reduces to the plain simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import pairwise
 
 from .analysis import decode_probability, expected_violation_fraction
@@ -44,44 +44,16 @@ def monitoring_interval_length(avt: int, n: int) -> int:
     return max(1, round_half_up(avt * 100 / n))
 
 
+def restart_rate(n: int, rtt: float) -> float:
+    """Rate that refills an emptied pipe: two codewords of n chunks, plus 5%, per round trip."""
+    return 2.0 * (1.05 * n) / rtt
+
+
 def packet_delivery_ratio(delivered: int, sent: int) -> float:
     """Delivered over sent chunks for one interval; 0 when nothing was sent."""
     if sent <= 0:
         return 0.0
     return min(1.0, delivered / sent)
-
-
-class DecodeLog:
-    """Decode timestamps needed to score one monitoring interval.
-
-    Only decodes that refresh the receiver (strictly newer generation than
-    anything decoded before) are kept.  Rolling the log seeds the next
-    interval with the last such event, so the first inter-decode gap of an
-    interval reaches back across the boundary.
-    """
-
-    def __init__(self, initial_age: int) -> None:
-        # Virtual pre-run decode so the very first gap starts at a known age.
-        self._seed = (-initial_age, 0)
-        self.events: list[tuple[int, int]] = []
-
-    @property
-    def freshest_gen(self) -> int:
-        return self.events[-1][0] if self.events else self._seed[0]
-
-    def record(self, gen: int, now: int) -> bool:
-        if gen > self.freshest_gen:
-            self.events.append((gen, now))
-            return True
-        return False
-
-    def interval_entries(self) -> list[tuple[int, int]]:
-        return [self._seed, *self.events]
-
-    def roll(self) -> None:
-        if self.events:
-            self._seed = self.events[-1]
-            self.events = []
 
 
 def interval_age_violation(entries, interval_start: int, avt: int) -> float:
@@ -236,7 +208,7 @@ def process_interval(
         branch = "1"
     elif math.isinf(w) and ef >= 2 and stats.pdr == 0.0:
         # Pipe ran dry despite patience: restart from the bandwidth estimate.
-        sigma = 2.0 * (1.05 * n) / max(min_rtt, 1e-9)
+        sigma = restart_rate(n, max(min_rtt, 1e-9))
         ef = 0
         df = False
         branch = "2"
@@ -342,6 +314,70 @@ ADAPTIVE_COLUMNS = (
 FLOW_COLUMNS = ("mi", "flow", "sigma", "t_s", "av_raw", "av_ratio", "delivered")
 
 
+@dataclass
+class AdaptiveController:
+    """The A³L-FEC feedback step, shared by the simulator and the UDP receiver.
+
+    Each monitoring interval (start, end] is scored from the flows' decode
+    logs, fed to `process_interval`, and logged as one ADAPTIVE_COLUMNS row.
+    A decode log is the last refreshing decode (one of a strictly newer
+    generation than any before) ahead of the interval followed by the
+    interval's own, each a (generation, decode slot) pair.
+    """
+
+    state: AdaptiveSamplingState
+    k: int
+    avt: int
+    sigma_min: float = 0.99
+    sigma_max: float | None = None
+    candidates: tuple[int, ...] | None = None
+    rows: list[tuple] = field(default_factory=list)
+
+    def step(self, start, end, decodes, avts, delivered, mean_delay, min_delay, sent):
+        """Run one interval; returns the raw violation counts, ratios and stats.
+
+        `decodes` and `avts` hold one decode log and one threshold per flow;
+        the controller acts on the worst flow's ratio and on the pooled
+        delivered and sent chunk counts and delays.
+        """
+        raws = [interval_age_violation(log, start, avt) for log, avt in zip(decodes, avts)]
+        ratios = [max(0.0, raw) / (end - start) for raw in raws]
+        stats = AdaptiveIntervalStats(
+            av_ratio=max(ratios),
+            wbar_mi=mean_delay,
+            pdr=packet_delivery_ratio(delivered, sent),
+            min_delay=min_delay,
+        )
+        state, branch = process_interval(
+            self.state,
+            stats,
+            self.avt,
+            self.k,
+            sigma_min=self.sigma_min,
+            sigma_max=self.sigma_max,
+            candidates=self.candidates,
+        )
+        self.state = state
+        self.rows.append(
+            (
+                state.mi,
+                state.sigma,
+                state.n,
+                state.t_s,
+                state.t_tilde,
+                max(raws),
+                stats.av_ratio,
+                stats.wbar_mi,
+                stats.pdr,
+                state.ef,
+                int(state.df),
+                state.min_rtt,
+                branch,
+            )
+        )
+        return raws, ratios, stats
+
+
 class _AdaptiveSender:
     """One adaptive controller pacing one or more flows' codewords.
 
@@ -356,7 +392,6 @@ class _AdaptiveSender:
     def __init__(self, config: SimConfig, flow_avts: tuple[int, ...], allocate) -> None:
         flow_count = len(flow_avts)
         k, n0, avt = config.coding.k, config.coding.n, config.avt
-        self.config = config
         self.flow_avts = flow_avts
         self.allocate = allocate
         rtt_init = (
@@ -365,31 +400,33 @@ class _AdaptiveSender:
         # The rate ceiling is per flow; the aggregate controller gets one ceiling
         # per concurrent flow so sharing does not throttle the system.
         per_flow_max = config.sigma_max if config.sigma_max is not None else sigma_ceiling(k, avt)
-        self.total_max = per_flow_max * flow_count
+        total_max = per_flow_max * flow_count
         state = AdaptiveSamplingState.initial(
             k,
             n0,
             avt,
             rtt_init,
             sigma_min=config.sigma_min,
-            sigma_max=self.total_max,
+            sigma_max=total_max,
             monitoring_interval=config.monitoring_interval,
         )
         if flow_count > 1:
-            boosted = min(max(state.sigma * flow_count, config.sigma_min), self.total_max)
+            boosted = min(max(state.sigma * flow_count, config.sigma_min), total_max)
             state = replace(
                 state, sigma=boosted, sigma_last=boosted,
                 t_s=sampling_interval(n0, boosted),
             )
-        self.state = state
+        self.controller = AdaptiveController(
+            state, k, avt, config.sigma_min, total_max, config.block_candidates
+        )
+        self.rows = self.controller.rows
         self.sigmas = [state.sigma / flow_count] * flow_count
         self.scheds = [CodewordScheduler(sampling_interval(state.n, s)) for s in self.sigmas]
         self.ivl_sent = 0
-        self.rows: list[tuple] = []
         self.flow_rows: list[tuple] = []
 
     def emit(self, t: int) -> list[tuple]:
-        n = self.state.n
+        n = self.controller.state.n
         out = []
         for flow, sched in enumerate(self.scheds):
             if sched.due(t):
@@ -399,52 +436,26 @@ class _AdaptiveSender:
         return out
 
     def boundary(self, t: int, interval: Interval) -> int:
-        ivl_len = t - interval.start
-        raws = [
-            interval_age_violation(log, interval.start, avt)
-            for log, avt in zip(interval.decodes, self.flow_avts)
-        ]
-        ratios = [max(0.0, raw) / ivl_len for raw in raws]
-        stats = AdaptiveIntervalStats(
-            av_ratio=max(ratios),
-            wbar_mi=interval.mean_delay,
-            pdr=packet_delivery_ratio(interval.delivered, self.ivl_sent),
-            min_delay=interval.min_delay,
+        controller = self.controller
+        old_total = controller.state.sigma
+        raws, ratios, _stats = controller.step(
+            interval.start,
+            t,
+            interval.decodes,
+            self.flow_avts,
+            interval.delivered,
+            interval.mean_delay,
+            interval.min_delay,
+            self.ivl_sent,
         )
-        config = self.config
-        old_total = self.state.sigma
-        state, branch = process_interval(
-            self.state,
-            stats,
-            config.avt,
-            config.coding.k,
-            sigma_min=config.sigma_min,
-            sigma_max=self.total_max,
-            candidates=config.block_candidates,
-        )
-        self.state = state
+        state = controller.state
         n = state.n
         if self.allocate is None:
             self.sigmas = [state.sigma]
         else:
-            self.sigmas = list(self.allocate(self.sigmas, ratios, state.sigma, old_total, config.sigma_min))
-        self.rows.append(
-            (
-                state.mi,
-                state.sigma,
-                n,
-                state.t_s,
-                state.t_tilde,
-                max(raws),
-                stats.av_ratio,
-                stats.wbar_mi,
-                stats.pdr,
-                state.ef,
-                int(state.df),
-                state.min_rtt,
-                branch,
+            self.sigmas = list(
+                self.allocate(self.sigmas, ratios, state.sigma, old_total, controller.sigma_min)
             )
-        )
         for idx, (sched, sig) in enumerate(zip(self.scheds, self.sigmas)):
             t_s_i = sampling_interval(n, sig)
             sched.set_interval(t, t_s_i)

@@ -98,7 +98,7 @@ class ExperimentSpec:
     n_init: int = 5
     payload_bytes: int = 1024
     samples: int = _arg(0, "sender stop count / receiver target")
-    fixed_rate: float | None = None
+    fixed_rate: float | None = _arg(None, "wire rate, chunks/slot; none follows feedback")
     drop_shim: float = _arg(0.0, metavar="P")
     delay_shim_ms: float = 0.0
     relative_delay: bool = False
@@ -512,36 +512,21 @@ def _interrupt_stops():
         signal.signal(signal.SIGINT, previous)
 
 
+def _endpoint_counters(log) -> dict:
+    """A wire endpoint log's counters: its CSV summary line and its JSON aggregate."""
+    skip = ("rows", "schema", "columns")
+    return {f.name: getattr(log, f.name) for f in fields(log) if f.name not in skip}
+
+
 def _run_wire_send(spec: ExperimentSpec, label: str) -> dict:
     from . import wire
 
     with _interrupt_stops() as stop:
         log = wire.run_sender(spec.wire_config(), stop=stop)
-    rows = log.rows
+    counters = _endpoint_counters(log)
     path = spec.log_path or os.path.join(spec.out_dir, f"{label}-sender.csv")
-    write_csv(
-        path,
-        "wire-sender/1",
-        ("ms", "sigma", "n", "ts_ms", "source"),
-        rows,
-        summary={
-            "samples_sent": log.samples_sent,
-            "chunks_sent": log.chunks_sent,
-            "shim_dropped": log.shim_dropped,
-            "stale_skipped": log.stale_skipped,
-            "feedback_applied": log.feedback_applied,
-            "fallbacks": log.fallbacks,
-        },
-    )
-    return {
-        "samples_sent": log.samples_sent,
-        "chunks_sent": log.chunks_sent,
-        "shim_dropped": log.shim_dropped,
-        "feedback_applied": log.feedback_applied,
-        "final_sigma": log.final_sigma,
-        "final_n": log.final_n,
-        "final_ts_ms": log.final_ts_ms,
-    }
+    write_csv(path, "wire-sender/1", ("ms", "sigma", "n", "ts_ms", "source"), log.rows, summary=counters)
+    return counters
 
 
 def _run_wire_recv(spec: ExperimentSpec, label: str) -> dict:
@@ -549,26 +534,7 @@ def _run_wire_recv(spec: ExperimentSpec, label: str) -> dict:
 
     with _interrupt_stops() as stop:
         log = wire.run_receiver(spec.wire_config(), stop=stop, max_samples=spec.samples)
+    counters = _endpoint_counters(log)
     path = spec.log_path or os.path.join(spec.out_dir, f"{label}-receiver.csv")
-    write_csv(
-        path,
-        log.schema,
-        log.columns,
-        log.rows,
-        summary={
-            "chunks_received": log.chunks_received,
-            "duplicates": log.duplicates,
-            "malformed": log.malformed,
-            "decoded_samples": log.decoded_samples,
-            "payload_ok": log.payload_ok,
-            "mean_delay_ms": log.mean_delay_ms,
-            "feedback_sent": log.feedback_sent,
-        },
-    )
-    return {
-        "chunks_received": log.chunks_received,
-        "decoded_samples": log.decoded_samples,
-        "payload_ok": log.payload_ok,
-        "mean_delay_ms": log.mean_delay_ms,
-        "feedback_sent": log.feedback_sent,
-    }
+    write_csv(path, log.schema, log.columns, log.rows, summary=counters)
+    return counters

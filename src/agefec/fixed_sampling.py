@@ -211,6 +211,6 @@ class _FixedSamplingSender:
         return self.t_tilde
 
 
-def run_sim(config: SimConfig, collect_trace: bool = False) -> SimResult:
+def run_sim(config: SimConfig) -> SimResult:
     """Simulate the fixed-sampling protocol over the bottleneck path."""
-    return run_slots(config, _FixedSamplingSender(config), collect_trace=collect_trace)[0]
+    return run_slots(config, _FixedSamplingSender(config))[0]

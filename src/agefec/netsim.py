@@ -22,8 +22,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import (
     CodingParams,
     LossModel,
@@ -196,7 +194,6 @@ class SimResult:
     counts: dict[str, int]
     occupancy_max: int
     occupancy_mean: float
-    age_trace: np.ndarray | None = None
 
     def summary(self) -> dict:
         out = {
@@ -247,9 +244,7 @@ def _slots_from(first: int, last: int, threshold: int) -> int:
     return max(0, last - max(first, threshold) + 1)
 
 
-def run_slots(
-    config: SimConfig, sender, flow_avts=None, collect_trace: bool = False
-) -> tuple[SimResult, FlowTotals]:
+def run_slots(config: SimConfig, sender, flow_avts=None) -> tuple[SimResult, FlowTotals]:
     """Run `sender` over the bottleneck path for config.duration slots.
 
     The sender holds only its policy; the engine owns the path, the receiver
@@ -300,9 +295,6 @@ def run_slots(
     decoded = [0] * flow_count
     flow_delivered = [0] * flow_count
     delay_sum = 0
-    ages = np.zeros(duration + 1, dtype=np.int64) if collect_trace else None
-    if ages is not None:
-        ages[0] = initial[0]
     # Age violations are counted per stretch of constant freshest generation
     # g, from the slot it decoded: age >= avt from slot g + avt on.  A stretch
     # is counted when it ends or an interval closes, never slot by slot.
@@ -342,8 +334,6 @@ def run_slots(
                                 count_violations(f, t - 1)
                             fresh[f] = gen
                             decodes[f].append((gen, t))
-        if ages is not None:
-            ages[t] = t - fresh[0]
 
         if t == next_boundary:
             for f in range(flow_count):
@@ -420,7 +410,6 @@ def run_slots(
         },
         occupancy_max=occ_max,
         occupancy_mean=occ_sum / duration,
-        age_trace=ages,
     )
     totals = FlowTotals(
         av=[v / duration for v in viol_ge],

@@ -22,15 +22,12 @@ import time
 from dataclasses import dataclass, field
 
 from .adaptive_sampling import (
-    AdaptiveIntervalStats,
-    AdaptiveSamplingState,
     ADAPTIVE_COLUMNS,
+    AdaptiveController,
+    AdaptiveSamplingState,
     monitoring_interval_length,
-    packet_delivery_ratio,
-    interval_age_violation,
-    process_interval,
+    restart_rate,
     sampling_interval,
-    DecodeLog,
 )
 from .coding import decode_payload, encode_payload
 from .core import CodingError, ParameterError, ReceiverChunkStore
@@ -39,6 +36,8 @@ WIRE_VERSION = 1
 CHUNK_MAGIC = b"A3LF"
 FEEDBACK_MAGIC = b"A3LB"
 DELAY_INF_US = 2**64 - 1
+# Round-trip time, in slots, that both endpoints assume before any feedback.
+RTT_INIT = 2.0
 
 _CHUNK_HEADER = struct.Struct(">4sBIQBBBH")
 _FEEDBACK = struct.Struct(">4sBIIBIHHQ")
@@ -138,7 +137,7 @@ class FeedbackPacket:
     """Receiver-computed transmission parameters plus the stats behind them."""
 
     mi_index: int
-    rate_milli: int  # codeword rate x 1000
+    rate_milli: int  # chunks per slot x 1000
     new_n: int
     new_ts_ms: int
     av_ratio_milli: int
@@ -250,7 +249,7 @@ class WireConfig:
     slot_ms: int = 1
     payload_bytes: int = 1024
     samples: int = 0  # sender stops after this many; 0 means run until stopped
-    fixed_rate: float | None = None  # codewords per slot; None follows feedback
+    fixed_rate: float | None = None  # chunks per slot; None follows feedback
     drop_shim: float = 0.0  # synthetic egress loss probability
     delay_shim_ms: float = 0.0  # synthetic egress latency
     relative_delay: bool = False  # subtract min observed delay (unsynced clocks)
@@ -258,6 +257,8 @@ class WireConfig:
     log_path: str | None = None
 
     def __post_init__(self) -> None:
+        if not 1 <= self.k <= self.n_init <= 255:
+            raise ParameterError(f"need 1 <= k <= n_init <= 255, got k={self.k} n_init={self.n_init}")
         if self.slot_ms < 1:
             raise ParameterError(f"slot_ms must be >= 1, got {self.slot_ms}")
         if self.avt_ms < self.slot_ms:
@@ -366,12 +367,11 @@ def run_sender(
         sigma = config.fixed_rate
         n = config.n_init
     else:
-        init = AdaptiveSamplingState.initial(k, config.n_init, avt, rtt_init=2.0)
+        init = AdaptiveSamplingState.initial(k, config.n_init, avt, rtt_init=RTT_INIT)
         sigma = init.sigma
         n = init.n
     ts_ms = sampling_interval(n, sigma) * config.slot_ms
     pending: tuple[float, int, int] | None = None  # (sigma, n, ts_ms)
-    rtt_init_slots = 2.0
 
     try:
         start = now_us()
@@ -389,7 +389,7 @@ def run_sender(
                 # drained and restart from the bandwidth estimate.
                 t_tilde_ms = monitoring_interval_length(avt, n) * config.slot_ms
                 if now - last_feedback > 5 * t_tilde_ms * 1000:
-                    refill = 2.0 * (1.05 * n) / rtt_init_slots
+                    refill = restart_rate(n, RTT_INIT)
                     pending = (refill, n, sampling_interval(n, refill) * config.slot_ms)
                     last_feedback = now
                     log.fallbacks += 1
@@ -472,8 +472,8 @@ def run_receiver(
 ) -> ReceiverLog:
     """Collect chunks, decode, score intervals, and mail feedback.
 
-    The controller is the same state machine the simulator runs; time is
-    wall-clock milliseconds bucketed into slots.  With max_samples > 0 the
+    Each interval goes through the `AdaptiveController.step` the simulator
+    runs; time is wall-clock milliseconds bucketed into slots.  With max_samples > 0 the
     loop ends once that many distinct samples have decoded (test hook).
     """
     log = ReceiverLog()
@@ -488,15 +488,20 @@ def run_receiver(
     k = config.k
     avt = config.avt_slots
     slot_us = config.slot_ms * 1000
-    state = AdaptiveSamplingState.initial(k, config.n_init, avt, rtt_init=2.0)
+    controller = AdaptiveController(
+        AdaptiveSamplingState.initial(k, config.n_init, avt, rtt_init=RTT_INIT), k, avt
+    )
+    log.rows = controller.rows
     store = ReceiverChunkStore(k)
-    decode_log = DecodeLog(avt)
+    # Refreshing decodes as (generation slot, decode slot), seeded with a
+    # virtual decode that puts the age at the threshold when the run starts.
+    decodes = [(-avt, 0)]
     shares: dict[int, dict[int, bytes]] = {}
     sender_addr: tuple | None = None
 
     start = now_us()
     mi_start_slot = 0
-    next_boundary = start + state.t_tilde * slot_us
+    next_boundary = start + controller.state.t_tilde * slot_us
     ivl_delivered = 0
     ivl_delay_sum = 0.0
     ivl_min_delay = math.inf
@@ -509,43 +514,18 @@ def run_receiver(
             now = now_us()
             if now >= next_boundary:
                 boundary_slot = (now - start) // slot_us
-                ivl_slots = max(1, boundary_slot - mi_start_slot)
-                raw = interval_age_violation(
-                    decode_log.interval_entries(), mi_start_slot, avt
+                _raws, _ratios, stats = controller.step(
+                    mi_start_slot,
+                    mi_start_slot + max(1, boundary_slot - mi_start_slot),
+                    [decodes],
+                    (avt,),
+                    ivl_delivered,
+                    (ivl_delay_sum / ivl_delivered) / config.slot_ms if ivl_delivered else math.inf,
+                    ivl_min_delay / config.slot_ms,
+                    ivl_sent,
                 )
-                decode_log.roll()
-                stats = AdaptiveIntervalStats(
-                    av_ratio=max(0.0, raw) / ivl_slots,
-                    wbar_mi=(
-                        (ivl_delay_sum / ivl_delivered) / config.slot_ms
-                        if ivl_delivered
-                        else math.inf
-                    ),
-                    pdr=packet_delivery_ratio(ivl_delivered, ivl_sent),
-                    min_delay=(
-                        ivl_min_delay / config.slot_ms
-                        if math.isfinite(ivl_min_delay)
-                        else math.inf
-                    ),
-                )
-                state, branch = process_interval(state, stats, avt, k)
-                log.rows.append(
-                    (
-                        state.mi,
-                        state.sigma,
-                        state.n,
-                        state.t_s,
-                        state.t_tilde,
-                        raw,
-                        stats.av_ratio,
-                        stats.wbar_mi,
-                        stats.pdr,
-                        state.ef,
-                        int(state.df),
-                        state.min_rtt,
-                        branch,
-                    )
-                )
+                decodes = [decodes[-1]]
+                state = controller.state
                 if sender_addr is not None:
                     fb = FeedbackPacket.from_values(
                         state.mi & 0xFFFFFFFF,
@@ -623,7 +603,8 @@ def run_receiver(
                 except CodingError:
                     pass
                 gen_slot = (pkt.gen_timestamp_us - start) // slot_us
-                decode_log.record(gen_slot, (arrival - start) // slot_us)
+                if gen_slot > decodes[-1][0]:
+                    decodes.append((gen_slot, (arrival - start) // slot_us))
                 if max_samples and log.decoded_samples >= max_samples:
                     break
     finally:

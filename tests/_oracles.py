@@ -28,6 +28,25 @@ def slot_violation_count(entries, interval_start: int, avt: int) -> int:
     return violated
 
 
+def ages_from_decodes(intervals, flow: int, last: int) -> list[int]:
+    """Flow `flow`'s age at slots 1..last, rebuilt from the engine's decode logs.
+
+    `intervals` are the consecutive `Interval`s a sender was handed; their
+    logs hold the seed decode and then every refreshing decode, each a
+    (generation, slot) pair in slot order.  The age at slot t is t minus the
+    generation of the last decode that landed at or before t.
+    """
+    events = intervals[0].decodes[flow][:1]
+    for interval in intervals:
+        events += interval.decodes[flow][1:]
+    ages, i = [], 0
+    for t in range(1, last + 1):
+        while i + 1 < len(events) and events[i + 1][1] <= t:
+            i += 1
+        ages.append(t - events[i][0])
+    return ages
+
+
 def violation_fraction_series(
     decode_prob: float, sampling_interval: int, mean_delay: float, avt: float, terms: int = 200_000
 ) -> float:

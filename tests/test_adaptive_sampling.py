@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from agefec.adaptive_sampling import (
     ADAPTIVE_COLUMNS,
+    AdaptiveController,
     AdaptiveIntervalStats,
     AdaptiveSamplingState,
     CodewordScheduler,
-    DecodeLog,
     interval_age_violation,
     monitoring_interval_length,
     packet_delivery_ratio,
@@ -70,21 +70,6 @@ def test_packet_delivery_ratio():
     assert packet_delivery_ratio(11, 10) == 1.0  # duplicates cannot push past 1
     assert packet_delivery_ratio(0, 10) == 0.0
     assert packet_delivery_ratio(3, 0) == 0.0
-
-
-def test_decode_log_keeps_fresher_only():
-    log = DecodeLog(initial_age=5)
-    assert log.freshest_gen == -5
-    assert log.record(3, now=8) is True
-    assert log.record(2, now=9) is False  # staler generation, dropped
-    assert log.record(7, now=9) is True
-    assert log.interval_entries() == [(-5, 0), (3, 8), (7, 9)]
-    log.roll()
-    assert log.interval_entries() == [(7, 9)]
-    assert log.freshest_gen == 7
-    # rolling an empty interval keeps the old seed
-    log.roll()
-    assert log.interval_entries() == [(7, 9)]
 
 
 def test_interval_violation_hand_case():
@@ -195,6 +180,26 @@ def test_branch_2_restarts_from_bandwidth_estimate():
     assert branch == "2"
     assert new.sigma == pytest.approx(2.0 * 1.05 * 4 / 2.0)
     assert new.ef == 0 and new.df is False
+
+
+def test_controller_step_acts_on_the_worst_flow():
+    state = AdaptiveSamplingState.initial(k=3, n=4, avt=5, rtt_init=2.0)
+    controller = AdaptiveController(state, k=3, avt=5)
+    # Both flows start at their thresholds; flow 1 refreshes later than flow 0.
+    decodes = [[(-5, 0), (8, 10)], [(-8, 0), (15, 18)]]
+    raws, ratios, got = controller.step(0, 20, decodes, (5, 8), 9, 2.0, 1.0, 12)
+    assert raws == [interval_age_violation(decodes[0], 0, 5), interval_age_violation(decodes[1], 0, 8)]
+    assert ratios == [0.5, 0.9]
+    assert got == AdaptiveIntervalStats(av_ratio=ratios[1], wbar_mi=2.0, pdr=0.75, min_delay=1.0)
+    want, branch = process_interval(state, got, avt=5, k=3)
+    assert controller.state == want
+    assert len(controller.rows) == 1
+    row = dict(zip(ADAPTIVE_COLUMNS, controller.rows[0]))
+    assert row == {
+        "mi": 1, "sigma": want.sigma, "n": want.n, "t_s": want.t_s, "t_tilde": want.t_tilde,
+        "av_raw": raws[1], "av_ratio": ratios[1], "wbar_mi": 2.0, "pdr": 0.75, "ef": want.ef,
+        "df": int(want.df), "min_rtt": 1.0, "branch": branch,
+    }
 
 
 def test_branch_3_backs_off_under_persistent_violation():

@@ -5,8 +5,10 @@ import math
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import fields
 
@@ -353,6 +355,36 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["fsfb-sim", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "wibble" in err
+
+
+def test_wire_endpoints_write_their_counters_once(tmp_path):
+    """Each endpoint's JSON aggregate, minus the spec keys, is its CSV summary."""
+    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    recv = build_spec(overrides={"mode": "wire-recv", "listen": ("127.0.0.1", port), "samples": 10,
+                                 "out_dir": str(tmp_path / "recv")})
+    send = build_spec(overrides={"mode": "wire-send", "dest": ("127.0.0.1", port), "samples": 300,
+                                 "out_dir": str(tmp_path / "send")})
+    thread = threading.Thread(target=run_experiment, args=(recv,), daemon=True)
+    thread.start()
+    time.sleep(0.3)  # the receiver binds well inside this
+    run_experiment(send)
+    thread.join(timeout=20)
+    assert not thread.is_alive()
+    for spec, csv_name, counters in (
+        (send, "wire-send-sender.csv", {"stale_skipped", "fallbacks", "socket_errors"}),
+        (recv, "wire-recv-receiver.csv", {"duplicates", "malformed"}),
+    ):
+        summary = read_csv(os.path.join(spec.out_dir, csv_name))[3]
+        with open(os.path.join(spec.out_dir, f"{spec.label}.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        for key in ("experiment", "mode", "spec"):
+            del payload[key]
+        assert payload == summary
+        assert counters <= payload.keys()
+    assert payload["decoded_samples"] == 10
 
 
 def test_interrupted_wire_recv_writes_its_files(tmp_path):

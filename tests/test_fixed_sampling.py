@@ -1,6 +1,7 @@
 """Per-slot sampling policy and the interval feedback controller."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,11 @@ from agefec.fixed_sampling import (
     run_sim,
     select_chunks,
     update_controller,
+    _FixedSamplingSender,
 )
-from agefec.netsim import SimConfig, stream
+from agefec.netsim import SimConfig, run_slots, stream
+
+from _oracles import ages_from_decodes
 
 BRANCHES = {"1", "2", "3", "4a", "4b", "5a", "5b"}
 
@@ -211,6 +215,18 @@ def test_controller_totality_and_invariants(sigma, av_ema, wbar_ema, ef, av, w, 
         assert new.sigma >= 0.2 * state.sigma - 1e-12
 
 
+class RecordingSender(_FixedSamplingSender):
+    """The fixed-sampling sender, keeping every Interval it is handed."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.intervals = []
+
+    def boundary(self, t, interval):
+        self.intervals.append(interval)
+        return super().boundary(t, interval)
+
+
 def make_config(**kw):
     base = dict(
         coding=CodingParams(3, 4),
@@ -249,13 +265,6 @@ def test_run_sim_reaches_low_violation_regime():
     )
 
 
-def test_run_sim_trace_collection():
-    res = run_sim(make_config(duration=500), collect_trace=True)
-    assert res.age_trace is not None
-    assert len(res.age_trace) == 501
-    assert res.age_trace[0] == 5  # starts at the threshold
-
-
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -266,10 +275,15 @@ def test_run_sim_trace_collection():
     ],
 )
 def test_violation_counts_match_age_trace(overrides):
-    """The engine counts violations per stretch of constant age; the trace is per slot."""
+    """The engine counts violations per stretch of constant age; the ages are per slot."""
     cfg = make_config(duration=3_000, **overrides)
-    res = run_sim(cfg, collect_trace=True)
-    ages = [int(a) for a in res.age_trace[1:]]
+    res = run_sim(cfg)
+    # Decode logs reach a sender only at boundaries, so one interval more
+    # covers the slots after the run's last boundary.
+    sender = RecordingSender(cfg)
+    run_slots(replace(cfg, duration=cfg.duration + cfg.monitoring_interval), sender)
+    assert sender.rows[: len(res.rows)] == res.rows
+    ages = ages_from_decodes(sender.intervals, 0, cfg.duration)
     assert res.av == sum(a >= cfg.avt for a in ages) / cfg.duration
     assert res.av_strict == sum(a > cfg.avt for a in ages) / cfg.duration
     t_tilde = cfg.monitoring_interval

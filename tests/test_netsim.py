@@ -15,6 +15,8 @@ from agefec.netsim import (
     stream,
 )
 
+from _oracles import ages_from_decodes
+
 
 def lossless_config(**kw):
     base = dict(
@@ -235,7 +237,7 @@ def test_engine_matches_reference_models_under_random_traffic():
                 )
             script[t] = burst
         sender = ScriptedSender(script)
-        result, totals = run_slots(cfg, sender, flow_avts=(cfg.avt,) * flows, collect_trace=True)
+        result, totals = run_slots(cfg, sender, flow_avts=(cfg.avt,) * flows)
 
         path = BottleneckPath(cfg)
         select = stream(cfg.rng_seed, "select").random
@@ -243,7 +245,7 @@ def test_engine_matches_reference_models_under_random_traffic():
         trackers = [AgeTracker(cfg.avt, cfg.initial_age) for _ in range(flows)]
         freshest = [-cfg.initial_age] * flows
         delivered, decoded = [0] * flows, [0] * flows
-        ages, occupancy = [cfg.initial_age], []
+        ages, occupancy = [[cfg.initial_age] for _ in range(flows)], []
         for t, interval in enumerate(sender.intervals, start=1):
             arrivals = path.deliveries_at(t)
             assert interval.delivered == len(arrivals)
@@ -263,9 +265,7 @@ def test_engine_matches_reference_models_under_random_traffic():
             for f in range(flows):
                 assert interval.decodes[f][1:] == refreshed[f]
                 assert interval.flow_delivered[f] == sum(1 for (g, *_), _d in arrivals if g == f)
-                age = trackers[f].step(t, [gen for gen, _ in refreshed[f]])
-                if f == 0:
-                    ages.append(age)
+                ages[f].append(trackers[f].step(t, [gen for gen, _ in refreshed[f]]))
             chunks = []
             for f, age, sample, n, p in script[t]:
                 gen = t - age
@@ -292,7 +292,8 @@ def test_engine_matches_reference_models_under_random_traffic():
         }
         assert result.occupancy_max == max(occupancy)
         assert result.occupancy_mean == sum(occupancy) / cfg.duration
-        assert list(result.age_trace) == ages
+        for f in range(flows):
+            assert [cfg.initial_age] + ages_from_decodes(sender.intervals, f, cfg.duration) == ages[f]
         assert totals.delivered == delivered
         assert totals.decoded == decoded
         assert path.injected > 0

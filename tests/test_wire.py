@@ -8,6 +8,7 @@ import time
 import pytest
 
 from agefec.adaptive_sampling import ADAPTIVE_COLUMNS
+from agefec.cli import main
 from agefec.core import ParameterError
 from agefec.wire import (
     CHUNK_MAGIC,
@@ -152,6 +153,16 @@ def test_wire_config_validation():
         WireConfig(fixed_rate=0.0)
     assert WireConfig(avt_ms=100, slot_ms=1).avt_slots == 100
     assert WireConfig(avt_ms=100, slot_ms=8).avt_slots == 12
+
+
+@pytest.mark.parametrize("k, n_init", [(0, 5), (4, 3), (3, 300)])
+def test_wire_config_rejects_bad_code_dimensions(k, n_init, tmp_path, capsys):
+    with pytest.raises(ParameterError):
+        WireConfig(k=k, n_init=n_init)
+    argv = ["wire-send", "--dest", "127.0.0.1:9", "--samples", "2", "--out", str(tmp_path),
+            "--k", str(k), "--n-init", str(n_init)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("agefec: error:")
 
 
 def test_sender_requires_destination():
