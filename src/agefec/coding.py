@@ -8,6 +8,8 @@ stays invertible, so any k of the n chunks reconstruct the payload exactly.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .core import Chunk, CodingParams, CodingError, InsufficientChunksError, Sample
@@ -39,23 +41,31 @@ def gf_inv(a: int) -> int:
     return _EXP[255 - _LOG[a]]
 
 
-# 256x256 product table so chunk-sized vectors multiply via one fancy-index.
+# _MUL_TABLE[a, b] = exp[log a + log b], one row at a time: a single 256 x 256
+# gather needs temporaries that add about 0.3 MB to peak RSS.
 _MUL_TABLE = np.zeros((256, 256), dtype=np.uint8)
+_exp, _log = np.array(_EXP, dtype=np.uint8), np.array(_LOG[1:])
 for _a in range(1, 256):
-    for _b in range(1, 256):
-        _MUL_TABLE[_a, _b] = _EXP[_LOG[_a] + _LOG[_b]]
+    _MUL_TABLE[_a, 1:] = _exp[_LOG[_a] + _log]
+
+_INVERSE_CACHE_SIZE = 256  # decode inverses kept, each k x k bytes
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0
-            for t in range(inner):
-                acc ^= gf_mul(a[i][t], b[t][j])
-            out[i][j] = acc
-    return out
+def _table(coeffs: np.ndarray) -> np.ndarray:
+    """Per-input-row tables: tab[j, v] holds v * coeffs[:, j], one byte per output row."""
+    return np.ascontiguousarray(_MUL_TABLE[:, coeffs.T].transpose(1, 0, 2))
+
+
+def _lincomb(tab: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Output rows of coeffs @ rows over GF(256), from tab = _table(coeffs).
+
+    Each input row costs one gather that fetches its share of every output
+    row at once; the result is a (outputs, len) view.
+    """
+    acc = np.take(tab[0], rows[0], axis=0)
+    for j in range(1, len(rows)):
+        acc ^= np.take(tab[j], rows[j], axis=0)
+    return acc.T
 
 
 def _mat_inv(m: list[list[int]]) -> list[list[int]]:
@@ -76,15 +86,6 @@ def _mat_inv(m: list[list[int]]) -> list[list[int]]:
     return [row[size:] for row in aug]
 
 
-def _generator(k: int, n: int) -> list[list[int]]:
-    vand = [[pow_gf(x, j) for j in range(k)] for x in range(n)]
-    top_inv = _mat_inv([row[:] for row in vand[:k]])
-    gen = _mat_mul(vand, top_inv)
-    for i in range(k):
-        assert gen[i] == [int(i == j) for j in range(k)], "generator not systematic"
-    return gen
-
-
 def pow_gf(x: int, e: int) -> int:
     if e == 0:
         return 1
@@ -93,31 +94,36 @@ def pow_gf(x: int, e: int) -> int:
     return _EXP[(_LOG[x] * e) % 255]
 
 
-_GENERATORS: dict[tuple[int, int], list[list[int]]] = {}
+# Per (k, n): the n x k generator and the tables of its n - k parity rows.
+_GENERATORS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _cached_generator(k: int, n: int) -> list[list[int]]:
-    key = (k, n)
-    gen = _GENERATORS.get(key)
-    if gen is None:
-        gen = _GENERATORS[key] = _generator(k, n)
-    return gen
+def _cached_generator(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if (k, n) not in _GENERATORS:
+        vand = np.array([[pow_gf(x, j) for j in range(k)] for x in range(n)], dtype=np.uint8)
+        top_inv = np.array(_mat_inv(vand[:k].tolist()), dtype=np.uint8)
+        gen = np.ascontiguousarray(_lincomb(_table(vand), top_inv))
+        assert (gen[:k] == np.eye(k, dtype=np.uint8)).all(), "generator not systematic"
+        _GENERATORS[k, n] = (gen, _table(gen[k:]))
+    return _GENERATORS[k, n]
+
+
+@lru_cache(maxsize=_INVERSE_CACHE_SIZE)
+def _inverse(k: int, n: int, indices: tuple[int, ...]) -> np.ndarray:
+    """Inverse of the generator rows `indices`: maps those chunks back to the data."""
+    gen, _ = _cached_generator(k, n)
+    inv = np.array(_mat_inv(gen[list(indices)].tolist()), dtype=np.uint8)
+    inv.flags.writeable = False  # shared by every caller through the cache
+    return inv
 
 
 def encode_payload(payload: bytes, k: int, n: int) -> list[bytes]:
     """Split `payload` into k padded data chunks and emit n coded chunks."""
     chunk_len = -(-len(payload) // k) if payload else 1
     padded = payload.ljust(chunk_len * k, b"\0")
-    data = np.frombuffer(padded, dtype=np.uint8).reshape(k, chunk_len)
-    gen = _cached_generator(k, n)
     out: list[bytes] = [padded[i * chunk_len:(i + 1) * chunk_len] for i in range(k)]
-    for i in range(k, n):
-        acc = np.zeros(chunk_len, dtype=np.uint8)
-        for j, coeff in enumerate(gen[i]):
-            if coeff:
-                acc ^= _MUL_TABLE[coeff, data[j]]
-        out.append(acc.tobytes())
-    return out
+    data = np.frombuffer(padded, dtype=np.uint8).reshape(k, chunk_len)
+    return out + [row.tobytes() for row in _lincomb(_cached_generator(k, n)[1], data)]
 
 
 def decode_payload(shares: dict[int, bytes], k: int, n: int, payload_len: int) -> bytes:
@@ -135,21 +141,15 @@ def decode_payload(shares: dict[int, bytes], k: int, n: int, payload_len: int) -
     if len(lengths) != 1:
         raise CodingError(f"chunk lengths differ: {sorted(lengths)}")
     chunk_len = lengths.pop()
-    gen = _cached_generator(k, n)
-    if indices == list(range(k)):
-        padded = b"".join(shares[i] for i in indices)
-        return padded[:payload_len]
-    sub = [gen[i] for i in indices]
-    inv = _mat_inv(sub)
-    received = np.stack([np.frombuffer(shares[i], dtype=np.uint8) for i in indices])
-    rows = []
-    for i in range(k):
-        acc = np.zeros(chunk_len, dtype=np.uint8)
-        for j, coeff in enumerate(inv[i]):
-            if coeff:
-                acc ^= _MUL_TABLE[coeff, received[j]]
-        rows.append(acc)
-    return np.concatenate(rows).tobytes()[:payload_len]
+    # Every data chunk that arrived is among the k lowest indices and is kept
+    # as it is; only the missing ones are recomputed from those k chunks.
+    missing = [i for i in range(k) if i not in shares]
+    if missing:
+        inv = _inverse(k, n, tuple(indices))
+        received = np.frombuffer(b"".join(shares[i] for i in indices), dtype=np.uint8)
+        rows = _lincomb(_table(inv[missing]), received.reshape(k, chunk_len))
+        shares = {**shares, **{i: row.tobytes() for i, row in zip(missing, rows)}}
+    return b"".join(shares[i] for i in range(k))[:payload_len]
 
 
 def encode_sample(sample: Sample, params: CodingParams) -> list[Chunk]:

@@ -291,7 +291,7 @@ def write_csv(path: str, schema: str, columns, rows, summary: dict | None = None
         for row in rows:
             writer.writerow([_csv_value(v) for v in row])
         if summary is not None:
-            fh.write("# summary: " + json.dumps(summary, sort_keys=True) + "\n")
+            fh.write("# summary: " + _dumps(summary) + "\n")
 
 
 def read_csv(path: str) -> tuple[str, list[str], list[list[str]], dict | None]:
@@ -313,9 +313,24 @@ def read_csv(path: str) -> tuple[str, list[str], list[list[str]], dict | None]:
     return schema, columns, rows, summary
 
 
+def _finite(value):
+    """`value` with every non-finite float replaced by None (JSON has no Infinity)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
+def _dumps(payload: dict, **kwargs) -> str:
+    return json.dumps(_finite(payload), sort_keys=True, allow_nan=False, **kwargs)
+
+
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
+        fh.write(_dumps(payload, indent=2))
         fh.write("\n")
 
 

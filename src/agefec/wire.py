@@ -422,6 +422,9 @@ def run_sender(
                     next_sample = now + ts_ms * 1000
                 if config.samples and log.samples_sent >= config.samples:
                     break
+                # Encoding took time: wait from now, not from the loop's top,
+                # or a late sender sleeps a whole slot after every sample.
+                now = now_us()
 
             wait_us = next_sample - now
             due = shim.next_due_us()

@@ -8,6 +8,9 @@ two computations share no code.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import xor
+
 import numpy as np
 
 
@@ -101,3 +104,60 @@ def binom_pmf(i: int, n: int, p: float) -> float:
     from math import comb
 
     return comb(n, i) * p**i * (1.0 - p) ** (n - i)
+
+
+# Scalar GF(256) over the 0x11D polynomial, one multiply per byte and a
+# list-based Gauss-Jordan inverse, no numpy: parity is the wire format, so the
+# table codec must match this byte for byte.
+_GF_EXP = [0] * 512
+_GF_LOG = [0] * 256
+_x = 1
+for _i in range(255):
+    _GF_EXP[_i] = _GF_EXP[_i + 255] = _x
+    _GF_LOG[_x] = _i
+    _x <<= 1
+    if _x & 0x100:
+        _x ^= 0x11D
+
+
+def _gf_mul(a: int, b: int) -> int:
+    return 0 if a == 0 or b == 0 else _GF_EXP[_GF_LOG[a] + _GF_LOG[b]]
+
+
+def _gf_dot(coeffs, values) -> int:
+    return reduce(xor, map(_gf_mul, coeffs, values), 0)
+
+
+def _gf_mat_mul(a, b):
+    return [[_gf_dot(row, col) for col in zip(*b)] for row in a]
+
+
+def _gf_mat_inv(m):
+    size = len(m)
+    aug = [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(m)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = _GF_EXP[255 - _GF_LOG[aug[col][col]]]
+        aug[col] = [_gf_mul(v, inv_p) for v in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [v ^ _gf_mul(factor, p) for v, p in zip(aug[r], aug[col])]
+    return [row[size:] for row in aug]
+
+
+def reference_generator(k: int, n: int) -> list[list[int]]:
+    """The n x k systematic generator: Vandermonde rows 0..n-1 times the inverse of the top k."""
+    vand = [[1 if j == 0 else (0 if x == 0 else _GF_EXP[(_GF_LOG[x] * j) % 255]) for j in range(k)]
+            for x in range(n)]
+    return _gf_mat_mul(vand, _gf_mat_inv(vand[:k]))
+
+
+def encode_reference(payload: bytes, k: int, n: int) -> list[bytes]:
+    """The n shares of `payload`, byte by byte: k padded data chunks, then the parity rows."""
+    chunk_len = -(-len(payload) // k) if payload else 1
+    padded = payload.ljust(chunk_len * k, b"\0")
+    data = [padded[i * chunk_len:(i + 1) * chunk_len] for i in range(k)]
+    gen = reference_generator(k, n)
+    return data + [bytes(_gf_dot(row, column) for column in zip(*data)) for row in gen[k:]]

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import encode_reference
+from agefec import coding
 from agefec.coding import (
     decode_payload,
     decode_sample,
@@ -128,3 +130,44 @@ def test_decode_sample_needs_k_chunks():
     chunks = encode_sample(sample, params)
     with pytest.raises(InsufficientChunksError):
         decode_sample(chunks[:1], params)
+
+
+def _random_codes(rng, count):
+    """(k, n, payload length) triples: k up to 32, n up to 3k capped at 255, lengths k rarely divides."""
+    cases = [(1, 1, 0), (1, 3, 5), (32, 96, 97), (32, 32, 64)]
+    while len(cases) < count:
+        k = rng.randint(1, 32)
+        cases.append((k, min(255, rng.randint(k, 3 * k)), rng.randint(0, 160)))
+    return cases
+
+
+def test_encode_matches_scalar_reference():
+    """Parity bytes are the wire format: the table codec must equal the byte-at-a-time one."""
+    rng = random.Random(7)
+    for k, n, length in _random_codes(rng, 40):
+        payload = rng.randbytes(length)
+        assert encode_payload(payload, k, n) == encode_reference(payload, k, n), (k, n, length)
+
+
+def test_decode_with_random_data_chunks_lost():
+    rng = random.Random(8)
+    for k, n, length in _random_codes(rng, 60):
+        if n == k:
+            continue
+        payload = rng.randbytes(length)
+        shares = encode_payload(payload, k, n)
+        lost = set(rng.sample(range(k), rng.randint(1, min(k, n - k))))
+        kept = [i for i in range(n) if i not in lost]
+        subset = rng.sample(kept, rng.randint(k, len(kept)))
+        assert decode_payload({i: shares[i] for i in subset}, k, n, length) == payload, (k, n, lost)
+
+
+def test_decode_inverse_cache_stays_bounded():
+    k, n = 3, 20
+    shares = encode_payload(bytes(range(30)), k, n)
+    index_sets = list(combinations(range(1, n), k))[: coding._INVERSE_CACHE_SIZE + 50]
+    for subset in index_sets:
+        assert decode_payload({i: shares[i] for i in subset}, k, n, 30) == bytes(range(30))
+    info = coding._inverse.cache_info()
+    assert info.maxsize == coding._INVERSE_CACHE_SIZE
+    assert info.currsize <= info.maxsize

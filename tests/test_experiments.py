@@ -402,5 +402,13 @@ def test_interrupted_wire_recv_writes_its_files(tmp_path):
             proc.kill()
             proc.wait()
     assert proc.returncode == 0, err
-    assert (tmp_path / "wire-recv-receiver.csv").exists()
-    assert (tmp_path / "wire-recv.json").exists()
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    # Nothing arrived, so the delays are undefined: strict JSON says null.
+    aggregate = json.loads((tmp_path / "wire-recv.json").read_text(), parse_constant=reject)
+    assert aggregate["mean_delay_ms"] is None and aggregate["min_delay_ms"] is None
+    summary_line = (tmp_path / "wire-recv-receiver.csv").read_text().splitlines()[-1]
+    assert summary_line.startswith("# summary: ")
+    assert json.loads(summary_line.split(":", 1)[1], parse_constant=reject)["mean_delay_ms"] is None

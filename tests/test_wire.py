@@ -4,9 +4,11 @@ import math
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from agefec import wire
 from agefec.adaptive_sampling import ADAPTIVE_COLUMNS
 from agefec.cli import main
 from agefec.core import ParameterError
@@ -315,3 +317,40 @@ def test_receiver_pdr_follows_the_n_packets_carry():
     assert len(rows) >= 3
     for row in rows[1:]:
         assert abs(row[pdr_col] - pass_ratio) <= 0.05, (row, pass_ratio)
+
+
+def test_late_sender_paces_from_the_clock_after_encoding(monkeypatch):
+    """A sample that costs 1.5 slots to encode is followed by the next one at once.
+
+    Virtual time: the clock moves only when encoding (1500 us) or waiting in
+    select (by its timeout), so the elapsed time counts exactly the sleeps
+    the sender chose.  A sender that computes its wait from the clock read
+    before encoding sleeps a further slot per sample (2.5 ms each).
+    """
+    clock = [10_000_000]
+
+    def advance(us):
+        clock[0] += int(round(us))
+
+    def fake_select(rlist, wlist, xlist, timeout):
+        advance(timeout * 1e6)
+        return [], [], []
+
+    def slow_encode(payload, k, n):
+        advance(1500)
+        return [b"x"] * n
+
+    monkeypatch.setattr(wire, "now_us", lambda: clock[0])
+    monkeypatch.setattr(wire, "select", SimpleNamespace(select=fake_select))
+    monkeypatch.setattr(wire, "encode_payload", slow_encode)
+    recv = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    recv.bind(("127.0.0.1", 0))
+    try:
+        cfg = WireConfig(dest=recv.getsockname(), k=3, n_init=5, payload_bytes=30,
+                         samples=50, fixed_rate=5.0)
+        start = clock[0]
+        log = run_sender(cfg)
+    finally:
+        recv.close()
+    assert log.samples_sent == 50 and log.stale_skipped == 0
+    assert (clock[0] - start) / 50 == pytest.approx(1500, abs=50)
