@@ -200,3 +200,31 @@ class ReceiverChunkStore:
 
     def is_decoded(self, sample_id: int) -> bool:
         return sample_id in self.decoded
+
+    def prune(self, newest: int, window: int) -> None:
+        """Forget sample ids `window` or more behind `newest` in serial order.
+
+        Ids mostly arrive in order, so the oldest lead the insertion-ordered
+        masks and go without a scan.  A full scan runs only when late
+        stragglers would leave more than `window` ids held.
+        """
+        masks = self._masks
+        old = []
+        for s in masks:
+            if serial_diff(newest, s) < window:
+                break
+            old.append(s)
+        if len(masks) - len(old) > window:
+            old = [s for s in masks if serial_diff(newest, s) >= window]
+        for s in old:
+            del masks[s]
+            self.decoded.discard(s)
+
+
+def serial_diff(a: int, b: int) -> int:
+    """Signed distance from 32-bit id `b` to `a` in RFC 1982 serial-number order.
+
+    Positive when `a` is newer than `b`, also across the wrap from 2**32 - 1
+    to 0.  RFC 1982 leaves ids exactly 2**31 apart unordered; they map to -2**31.
+    """
+    return ((a - b + 0x80000000) & 0xFFFFFFFF) - 0x80000000

@@ -20,6 +20,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .adaptive_sampling import (
     ADAPTIVE_COLUMNS,
@@ -30,7 +31,7 @@ from .adaptive_sampling import (
     sampling_interval,
 )
 from .coding import decode_payload, encode_payload
-from .core import CodingError, ParameterError, ReceiverChunkStore
+from .core import CodingError, ParameterError, ReceiverChunkStore, serial_diff
 
 WIRE_VERSION = 1
 CHUNK_MAGIC = b"A3LF"
@@ -38,6 +39,9 @@ FEEDBACK_MAGIC = b"A3LB"
 DELAY_INF_US = 2**64 - 1
 # Round-trip time, in slots, that both endpoints assume before any feedback.
 RTT_INIT = 2.0
+# The receiver keeps state only for sample ids fewer than this many behind
+# the newest id; chunks of older samples are counted and otherwise ignored.
+ID_WINDOW = 1 << 15
 
 _CHUNK_HEADER = struct.Struct(">4sBIQBBBH")
 _FEEDBACK = struct.Struct(">4sBIIBIHHQ")
@@ -61,6 +65,10 @@ class BadMagicError(WireDecodeError):
 
 class VersionMismatchError(WireDecodeError):
     """Packet version differs from this implementation's."""
+
+
+class FieldRangeError(WireDecodeError):
+    """A header field lies outside its valid range."""
 
 
 def _check_u(value: int, bits: int, name: str) -> int:
@@ -129,7 +137,22 @@ class ChunkPacket:
             )
         if len(buf) > end:
             raise WireDecodeError(f"{len(buf) - end} trailing bytes after payload")
-        return cls(sample_id, gen_us, idx, k, n, buf[_CHUNK_HEADER.size : end])
+        # The struct layout bounds every field's width; these are the
+        # remaining checks of __post_init__, which this path skips.
+        if k < 1 or k > n:
+            raise FieldRangeError(f"need 1 <= k <= n, got k={k} n={n}")
+        if idx >= n:
+            raise FieldRangeError(f"chunk_index {idx} out of range for n={n}")
+        pkt = cls.__new__(cls)
+        pkt.__dict__.update(
+            sample_id=sample_id,
+            gen_timestamp_us=gen_us,
+            chunk_index=idx,
+            k=k,
+            n=n,
+            payload=buf[_CHUNK_HEADER.size : end],
+        )
+        return pkt
 
 
 @dataclass(frozen=True)
@@ -229,8 +252,23 @@ def decode_packet(buf: bytes):
 
 
 def sample_payload(sample_id: int, nbytes: int) -> bytes:
-    """Deterministic per-sample payload so any copy can verify a decode."""
-    return random.Random(f"payload/{sample_id}").randbytes(nbytes)
+    """Deterministic per-sample payload so any copy can verify a decode.
+
+    The id's four bytes come first, so distinct ids never share a payload of
+    4 bytes or more.  The rest is a window of one random block per size,
+    starting at an offset that moves with the id, so the chunks of
+    neighbouring samples differ too.
+    """
+    head = sample_id.to_bytes(4, "big")
+    if nbytes <= 4:
+        return head[:nbytes]
+    off = sample_id * 2654435761 % (nbytes + 1)
+    return head + _payload_block(nbytes)[off : off + nbytes - 4]
+
+
+@lru_cache(maxsize=8)
+def _payload_block(nbytes: int) -> bytes:
+    return random.Random(f"payload-block/{nbytes}").randbytes(2 * nbytes)
 
 
 def now_us() -> int:
@@ -271,6 +309,11 @@ class WireConfig:
             raise ParameterError(f"delay_shim_ms must be >= 0, got {self.delay_shim_ms}")
         if self.fixed_rate is not None and self.fixed_rate <= 0:
             raise ParameterError(f"fixed_rate must be > 0, got {self.fixed_rate}")
+        if not 0 <= -(-self.payload_bytes // self.k) < 1 << 16:
+            raise ParameterError(
+                f"payload_bytes {self.payload_bytes} must split into chunks of"
+                f" 0 to 65535 bytes at k={self.k}"
+            )
 
     @property
     def avt_slots(self) -> int:
@@ -284,6 +327,7 @@ class SenderLog:
     shim_dropped: int = 0
     stale_skipped: int = 0
     feedback_applied: int = 0
+    malformed: int = 0  # feedback that failed to parse or commanded n < k
     fallbacks: int = 0
     socket_errors: int = 0
     final_sigma: float = 0.0
@@ -372,6 +416,7 @@ def run_sender(
         n = init.n
     ts_ms = sampling_interval(n, sigma) * config.slot_ms
     pending: tuple[float, int, int] | None = None  # (sigma, n, ts_ms)
+    header = _CHUNK_HEADER.pack
 
     try:
         start = now_us()
@@ -410,8 +455,10 @@ def run_sender(
                     payload = sample_payload(sample_id, config.payload_bytes)
                     try:
                         for idx, part in enumerate(encode_payload(payload, k, n)):
-                            pkt = ChunkPacket(sample_id, gen, idx, k, n, part)
-                            if shim.send(pkt.encode(), config.dest, now):
+                            # ChunkPacket(...).encode() without the object: the
+                            # config and feedback checks keep every field in range.
+                            data = header(CHUNK_MAGIC, WIRE_VERSION, sample_id, gen, idx, k, n, len(part))
+                            if shim.send(data + part, config.dest, now):
                                 log.chunks_sent += 1
                     except OSError:
                         log.socket_errors += 1
@@ -441,6 +488,10 @@ def run_sender(
                 try:
                     fb = FeedbackPacket.decode(data)
                 except WireDecodeError:
+                    log.malformed += 1
+                    continue
+                if fb.new_n < k:  # the field caps n at 255
+                    log.malformed += 1
                     continue
                 last_feedback = now_us()
                 if config.fixed_rate is None:
@@ -478,6 +529,12 @@ def run_receiver(
     Each interval goes through the `AdaptiveController.step` the simulator
     runs; time is wall-clock milliseconds bucketed into slots.  With max_samples > 0 the
     loop ends once that many distinct samples have decoded (test hook).
+
+    After `select` reports the socket readable, the loop reads datagrams
+    until the socket is empty, one per pass, so interval boundaries and
+    `stop` are still checked between any two datagrams.  Sample ids are
+    ordered as 32-bit serial numbers, and at each boundary the state of
+    ids `ID_WINDOW` or more behind the newest one is dropped.
     """
     log = ReceiverLog()
     own_sock = sock is None
@@ -511,6 +568,7 @@ def run_receiver(
     ivl_sent = 0
     total_delay = 0.0
     min_delay_raw = math.inf
+    ready = False  # the last read found a datagram, so more may be queued
 
     try:
         while not (stop is not None and stop.is_set()):
@@ -552,15 +610,22 @@ def run_receiver(
                 ivl_sent = 0
                 ivl_delay_sum = 0.0
                 ivl_min_delay = math.inf
+                newest = log.max_sample_id
+                if newest >= 0:
+                    store.prune(newest, ID_WINDOW)
+                    shares = {s: b for s, b in shares.items() if serial_diff(newest, s) < ID_WINDOW}
 
-            wait = max(0, min(next_boundary - now_us(), 20_000))
-            readable, _, _ = select.select([sock], [], [], wait / 1e6)
-            if not readable:
-                continue
+            if not ready:
+                wait = max(0, min(next_boundary - now_us(), 20_000))
+                readable, _, _ = select.select([sock], [], [], wait / 1e6)
+                if not readable:
+                    continue
             try:
                 data, addr = sock.recvfrom(65535)
-            except OSError:
+            except OSError:  # BlockingIOError once the socket is empty
+                ready = False
                 continue
+            ready = True
             try:
                 pkt = ChunkPacket.decode(data)
             except WireDecodeError:
@@ -572,16 +637,23 @@ def run_receiver(
             sender_addr = addr
             arrival = now_us()
             sid = pkt.sample_id
-            dup_before = store.duplicates
-            decoded_now = store.add(sid, pkt.chunk_index)
-            if store.duplicates != dup_before:
-                log.duplicates += 1
-                continue
+            newest = log.max_sample_id
+            ahead = serial_diff(sid, newest) if newest >= 0 else 1
+            # The state of ids a window behind the newest is dropped, so
+            # their chunks count as received but never decode again.
+            live = ahead > -ID_WINDOW
+            if live:
+                dup_before = store.duplicates
+                decoded_now = store.add(sid, pkt.chunk_index)
+                if store.duplicates != dup_before:
+                    log.duplicates += 1
+                    continue
             log.chunks_received += 1
-            if sid > log.max_sample_id:
-                # Sent estimate: serial ids are dense, so a new highest id
-                # accounts for every sample up to it, at the n it carries.
-                ivl_sent += (sid - log.max_sample_id) * pkt.n
+            if ahead > 0:
+                # Sent estimate: serial ids are dense, so a newer id accounts
+                # for every sample since the previous newest (the first id for
+                # itself alone), at the n it carries.
+                ivl_sent += ahead * pkt.n
                 log.max_sample_id = sid
             delay_ms = max(0.0, (arrival - pkt.gen_timestamp_us) / 1000.0)
             if delay_ms < min_delay_raw:
@@ -594,6 +666,8 @@ def run_receiver(
             total_delay += delay_ms
             if delay_ms < ivl_min_delay:
                 ivl_min_delay = delay_ms
+            if not live:
+                continue
             if not store.is_decoded(sid) or decoded_now:
                 shares.setdefault(sid, {})[pkt.chunk_index] = pkt.payload
             if decoded_now:

@@ -1,9 +1,15 @@
 """Datagram formats and the UDP endpoints on loopback."""
 
+import hashlib
 import math
+import os
+import random
 import socket
+import subprocess
+import sys
 import threading
 import time
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -11,15 +17,19 @@ import pytest
 from agefec import wire
 from agefec.adaptive_sampling import ADAPTIVE_COLUMNS
 from agefec.cli import main
-from agefec.core import ParameterError
+from agefec.coding import encode_payload
+from agefec.core import ParameterError, ReceiverChunkStore, serial_diff
 from agefec.wire import (
+    _CHUNK_HEADER,
     CHUNK_MAGIC,
     DELAY_INF_US,
     FEEDBACK_MAGIC,
+    ID_WINDOW,
     WIRE_VERSION,
     BadMagicError,
     ChunkPacket,
     FeedbackPacket,
+    FieldRangeError,
     TruncatedPacketError,
     VersionMismatchError,
     WireConfig,
@@ -153,6 +163,9 @@ def test_wire_config_validation():
         WireConfig(drop_shim=1.0)
     with pytest.raises(ParameterError):
         WireConfig(fixed_rate=0.0)
+    with pytest.raises(ParameterError):  # a chunk would overflow the 16-bit length field
+        WireConfig(k=1, n_init=2, payload_bytes=65536)
+    assert WireConfig(k=2, n_init=2, payload_bytes=65536).payload_bytes == 65536
     assert WireConfig(avt_ms=100, slot_ms=1).avt_slots == 100
     assert WireConfig(avt_ms=100, slot_ms=8).avt_slots == 12
 
@@ -354,3 +367,298 @@ def test_late_sender_paces_from_the_clock_after_encoding(monkeypatch):
         recv.close()
     assert log.samples_sent == 50 and log.stale_skipped == 0
     assert (clock[0] - start) / 50 == pytest.approx(1500, abs=50)
+
+
+# --------------------------------------------------------------------------
+# A receiver on a virtual clock
+
+
+class VirtualSocket:
+    """Stands in for the receiver's socket, with datagrams due at virtual times.
+
+    `wire.now_us` and `wire.select` read the same clock: a wait in select
+    moves it to the next due datagram or by the whole timeout, and each
+    read costs `read_us`.
+    """
+
+    def __init__(self, monkeypatch, datagrams, read_us=0):
+        self.clock = [1_000_000]
+        self.queue = deque(sorted(datagrams, key=lambda d: d[0]))
+        self.read_us = read_us
+        self.sent = []  # (clock, datagrams still queued, feedback bytes)
+        monkeypatch.setattr(wire, "now_us", lambda: self.clock[0])
+        monkeypatch.setattr(wire, "select", SimpleNamespace(select=self.select))
+
+    def setblocking(self, flag):
+        pass
+
+    def select(self, rlist, wlist, xlist, timeout):
+        limit = self.clock[0] + int(round(timeout * 1e6))
+        if self.queue and self.queue[0][0] <= limit:
+            self.clock[0] = max(self.clock[0], self.queue[0][0])
+            return rlist, [], []
+        self.clock[0] = limit
+        return [], [], []
+
+    def recvfrom(self, size):
+        if not self.queue or self.queue[0][0] > self.clock[0]:
+            raise BlockingIOError
+        self.clock[0] += self.read_us
+        return self.queue.popleft()[1], ("127.0.0.1", 9)
+
+    def sendto(self, data, addr):
+        self.sent.append((self.clock[0], len(self.queue), data))
+
+    def receive(self, cfg, until_us, **kw):
+        stop = SimpleNamespace(is_set=lambda: self.clock[0] >= until_us)
+        return run_receiver(cfg, stop=stop, sock=self, **kw)
+
+
+def sample_chunks(sid, at_us, cfg, n=None, indices=None):
+    """The datagrams of sample `sid`, generated and due at `at_us`."""
+    n = n or cfg.n_init
+    parts = encode_payload(sample_payload(sid, cfg.payload_bytes), cfg.k, n)
+    return [
+        (at_us, ChunkPacket(sid, at_us, idx, cfg.k, n, parts[idx]).encode())
+        for idx in (range(n) if indices is None else indices)
+    ]
+
+
+def test_receiver_orders_sample_ids_across_the_wrap(monkeypatch):
+    """Ids from 2**32 - 100 through the wrap keep the sent estimate and pdr."""
+    cfg = WireConfig(k=3, n_init=5, avt_ms=20, payload_bytes=30)
+    first = 2**32 - 100
+    datagrams = []
+    for i in range(1000):
+        datagrams += sample_chunks((first + i) & 0xFFFFFFFF, 1_000_000 + 2000 * i, cfg)
+    link = VirtualSocket(monkeypatch, datagrams)
+    log = link.receive(cfg, until_us=1_000_000 + 2000 * 1000)
+    assert log.max_sample_id == (first + 999) & 0xFFFFFFFF == 899
+    assert log.decoded_samples == log.payload_ok == 1000
+    assert log.malformed == log.duplicates == 0
+    pdr_col = ADAPTIVE_COLUMNS.index("pdr")
+    assert len(log.rows) >= 3
+    # a sample due at a boundary may have its first chunk read just before it
+    assert min(row[pdr_col] for row in log.rows) > 0.99
+
+
+def test_serial_diff_orders_across_the_wrap():
+    assert serial_diff(0, 2**32 - 1) == 1
+    assert serial_diff(2**32 - 1, 0) == -1
+    assert serial_diff(5, 3) == 2 and serial_diff(3, 5) == -2
+    assert serial_diff(2**31 - 1, 0) == 2**31 - 1
+    assert serial_diff(2**31, 0) == -(2**31)
+
+
+def test_chunk_store_stays_within_the_window_over_a_million_ids():
+    """Pruned as the receiver does, the store holds at most ID_WINDOW ids; ids wrap on the way."""
+    store = ReceiverChunkStore(1)
+    first = 2**32 - 300_000
+    for i in range(1_000_000):
+        sid = (first + i) & 0xFFFFFFFF
+        assert store.add(sid, 0)
+        if i % 1000 == 999:
+            store.prune(sid, ID_WINDOW)
+            assert len(store._masks) <= ID_WINDOW and len(store.decoded) <= ID_WINDOW
+    assert len(store._masks) == len(store.decoded) == ID_WINDOW
+    assert store.is_decoded(sid) and not store.is_decoded((sid - ID_WINDOW) & 0xFFFFFFFF)
+
+
+def test_chunk_store_prune_drops_late_stragglers():
+    store = ReceiverChunkStore(1)
+    for sid in [*range(10, 20), 3, 2, *range(20, 30)]:
+        store.add(sid, 0)
+    store.prune(29, 10)
+    assert sorted(store._masks) == sorted(store.decoded) == list(range(20, 30))
+
+
+def test_receiver_never_decodes_a_pruned_sample_again(monkeypatch):
+    """Chunks of an id a window behind the newest count as received and decode nothing."""
+    cfg = WireConfig(k=3, n_init=5, avt_ms=20, payload_bytes=30)
+    datagrams = sample_chunks(0, 1_001_000, cfg, indices=range(3))
+    datagrams += sample_chunks(ID_WINDOW + 5, 1_002_000, cfg, indices=range(3))
+    # after the first interval boundary (400 ms), every chunk of sample 0 again
+    datagrams += sample_chunks(0, 1_500_000, cfg)
+    link = VirtualSocket(monkeypatch, datagrams)
+    log = link.receive(cfg, until_us=1_600_000)
+    assert len(log.rows) == 1
+    assert log.decoded_samples == log.payload_ok == 2
+    assert log.chunks_received == 3 + 3 + 5
+    assert log.duplicates == 0
+    assert log.max_sample_id == ID_WINDOW + 5
+
+
+def test_receiver_checks_boundaries_between_queued_datagrams(monkeypatch):
+    """Draining a full socket still ends an interval between two datagrams."""
+    cfg = WireConfig(k=3, n_init=5, avt_ms=20, payload_bytes=30)
+    datagrams = []
+    for sid in range(40):
+        datagrams += sample_chunks(sid, 1_000_000, cfg)
+    # 200 datagrams queued at once, 4 ms of work each; the interval ends at 400 ms
+    link = VirtualSocket(monkeypatch, datagrams, read_us=4000)
+    log = link.receive(cfg, until_us=1_000_000 + 200 * 4000 + 1000)
+    assert log.decoded_samples == log.payload_ok == 40
+    assert log.chunks_received == 200
+    assert log.rows
+    boundary_at, still_queued, _ = link.sent[0]
+    assert boundary_at == 1_400_000 and still_queued == 100
+
+
+def test_chunk_from_a_neighbouring_sample_fails_the_payload_check(monkeypatch):
+    """Sample 7 decodes from data chunks 0 and 2 and sample 8's chunk 1: payload_ok stays 0."""
+    cfg = WireConfig(k=3, n_init=5, avt_ms=20, payload_bytes=300)
+    own = sample_chunks(7, 1_001_000, cfg, indices=(0, 2))
+    neighbour = encode_payload(sample_payload(8, cfg.payload_bytes), cfg.k, cfg.n_init)[1]
+    swapped = (1_001_000, ChunkPacket(7, 1_001_000, 1, cfg.k, cfg.n_init, neighbour).encode())
+    link = VirtualSocket(monkeypatch, [*own, swapped])
+    log = link.receive(cfg, until_us=1_100_000)
+    assert log.decoded_samples == 1
+    assert log.payload_ok == 0
+
+
+# --------------------------------------------------------------------------
+# The sample payload and the sender's datagrams
+
+
+def test_sample_payload_is_the_same_in_a_fresh_interpreter():
+    cases = [(0, 100), (1, 32768), (2**32 - 1, 4096), (123456, 3), (99, 5)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wire.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import hashlib, sys; from agefec.wire import sample_payload\n"
+        f"for sid, nbytes in {cases!r}:\n"
+        "    print(hashlib.sha256(sample_payload(sid, nbytes)).hexdigest())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [hashlib.sha256(sample_payload(s, b)).hexdigest() for s, b in cases]
+
+
+def test_sample_payloads_of_distinct_ids_differ():
+    for nbytes in (4, 5, 64, 4096, 32768):
+        payloads = {sample_payload(sid, nbytes) for sid in range(300)}
+        payloads |= {sample_payload(2**32 - 1, nbytes), sample_payload(0, nbytes)}
+        assert len(payloads) == 301
+        assert all(len(p) == nbytes for p in payloads)
+    assert sample_payload(2**32 - 1, 64) != sample_payload(0, 64)
+    # beyond the leading id, neighbours share no chunk of a k = 8 split
+    for sid in range(50):
+        a, b = sample_payload(sid, 32768), sample_payload(sid + 1, 32768)
+        assert all(a[i : i + 4096] != b[i : i + 4096] for i in range(0, 32768, 4096))
+
+
+def test_sender_datagrams_equal_chunk_packet_encode():
+    """Whatever k, n and size, each datagram is ChunkPacket(...).encode() of its fields."""
+    rng = random.Random(12)
+    for _ in range(4):
+        k = rng.randint(1, 12)
+        n = rng.randint(k, 24)
+        nbytes = rng.randint(1, 3000)
+        samples = rng.randint(1, 4)
+        recv = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        recv.bind(("127.0.0.1", 0))
+        recv.settimeout(2.0)
+        try:
+            cfg = WireConfig(dest=recv.getsockname(), k=k, n_init=n, payload_bytes=nbytes,
+                             samples=samples, fixed_rate=float(n))
+            log = run_sender(cfg)
+            assert log.chunks_sent == samples * n
+            for sid in range(samples):
+                parts = encode_payload(sample_payload(sid, nbytes), k, n)
+                for idx in range(n):
+                    data = recv.recv(65535)
+                    gen = ChunkPacket.decode(data).gen_timestamp_us
+                    assert data == ChunkPacket(sid, gen, idx, k, n, parts[idx]).encode()
+        finally:
+            recv.close()
+
+
+def test_receiver_decodes_chunks_queued_before_it_reads():
+    """A socket full of several samples' chunks drains, and the interval still ends."""
+    cfg = WireConfig(k=3, n_init=5, avt_ms=10, payload_bytes=900)
+    recv_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    recv_sock.bind(("127.0.0.1", 0))
+    send_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        gen = wire.now_us()
+        for sid in range(12):
+            parts = encode_payload(sample_payload(sid, cfg.payload_bytes), cfg.k, cfg.n_init)
+            for idx, part in enumerate(parts):
+                send_sock.sendto(ChunkPacket(sid, gen, idx, cfg.k, cfg.n_init, part).encode(),
+                                 recv_sock.getsockname())
+        deadline = time.monotonic() + 0.5  # the first interval ends after 200 ms
+        log = run_receiver(cfg, stop=SimpleNamespace(is_set=lambda: time.monotonic() >= deadline),
+                           sock=recv_sock)
+    finally:
+        send_sock.close()
+        recv_sock.close()
+    assert log.decoded_samples == log.payload_ok == 12
+    assert log.chunks_received == 60
+    assert log.malformed == log.duplicates == 0
+    assert log.rows
+    assert log.rows[0][ADAPTIVE_COLUMNS.index("pdr")] == 1.0
+
+
+# --------------------------------------------------------------------------
+# One bad datagram must not stop an endpoint
+
+
+@pytest.mark.parametrize("idx, k, n", [(7, 3, 5), (0, 6, 5), (0, 0, 5)])
+def test_chunk_decode_rejects_fields_out_of_range(idx, k, n):
+    buf = _CHUNK_HEADER.pack(CHUNK_MAGIC, WIRE_VERSION, 1, 2, idx, k, n, 3) + b"abc"
+    with pytest.raises(FieldRangeError):
+        ChunkPacket.decode(buf)
+    assert issubclass(FieldRangeError, WireDecodeError)
+
+
+def test_receiver_counts_chunks_with_bad_fields_as_malformed():
+    cfg = WireConfig(k=3, n_init=5, payload_bytes=90)
+    recv_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    recv_sock.bind(("127.0.0.1", 0))
+    send_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        for idx, k, n in [(7, 3, 5), (0, 6, 5), (0, 0, 5)]:
+            bad = _CHUNK_HEADER.pack(CHUNK_MAGIC, WIRE_VERSION, 0, 1, idx, k, n, 3) + b"abc"
+            send_sock.sendto(bad, recv_sock.getsockname())
+        parts = encode_payload(sample_payload(0, cfg.payload_bytes), 3, 5)
+        for idx in range(3):
+            send_sock.sendto(ChunkPacket(0, 1, idx, 3, 5, parts[idx]).encode(), recv_sock.getsockname())
+        deadline = time.monotonic() + 5.0
+        log = run_receiver(cfg, stop=SimpleNamespace(is_set=lambda: time.monotonic() >= deadline),
+                           sock=recv_sock, max_samples=1)
+    finally:
+        send_sock.close()
+        recv_sock.close()
+    assert log.malformed == 3
+    assert log.decoded_samples == log.payload_ok == 1
+
+
+def test_sender_ignores_feedback_with_n_below_k():
+    """Feedback commanding n < k is counted and dropped; valid feedback still applies."""
+    fake_recv = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    fake_recv.bind(("127.0.0.1", 0))
+    fake_recv.settimeout(5.0)
+    stop = threading.Event()
+    cfg = WireConfig(dest=fake_recv.getsockname(), k=3, n_init=5, avt_ms=100, payload_bytes=30)
+    result = {}
+
+    def send_main():
+        result["log"] = run_sender(cfg, stop=stop)
+
+    thread = threading.Thread(target=send_main)
+    thread.start()
+    try:
+        _, sender_addr = fake_recv.recvfrom(65535)
+        for n in (2, 0):
+            fake_recv.sendto(FeedbackPacket.from_values(1, 1.0, n, 2, 0.0, 1.0, 2.0).encode(), sender_addr)
+            time.sleep(0.1)  # past the next sample boundary
+        fake_recv.sendto(FeedbackPacket.from_values(2, 0.25, 4, 25, 0.0, 1.0, 2.0).encode(), sender_addr)
+        time.sleep(0.3)
+    finally:
+        stop.set()
+        thread.join(timeout=3.0)
+        fake_recv.close()
+    assert not thread.is_alive()
+    log = result["log"]
+    assert log.malformed == 2
+    assert log.feedback_applied == 1
+    assert (log.final_n, log.final_ts_ms) == (4, 25)
