@@ -162,7 +162,8 @@ class ReceiverChunkStore:
 
     add() reports whether its chunk completed a decodable set (the k-th
     distinct index).  Duplicate (sample, index) pairs are counted but change
-    nothing else, which is also how the UDP receiver de-duplicates datagrams.
+    nothing else.  It is the reference model of the decode masks that
+    `netsim.run_slots` inlines.
     """
 
     def __init__(self, k: int) -> None:
@@ -200,25 +201,6 @@ class ReceiverChunkStore:
 
     def is_decoded(self, sample_id: int) -> bool:
         return sample_id in self.decoded
-
-    def prune(self, newest: int, window: int) -> None:
-        """Forget sample ids `window` or more behind `newest` in serial order.
-
-        Ids mostly arrive in order, so the oldest lead the insertion-ordered
-        masks and go without a scan.  A full scan runs only when late
-        stragglers would leave more than `window` ids held.
-        """
-        masks = self._masks
-        old = []
-        for s in masks:
-            if serial_diff(newest, s) < window:
-                break
-            old.append(s)
-        if len(masks) - len(old) > window:
-            old = [s for s in masks if serial_diff(newest, s) >= window]
-        for s in old:
-            del masks[s]
-            self.decoded.discard(s)
 
 
 def serial_diff(a: int, b: int) -> int:

@@ -5,13 +5,15 @@ decode log, runs the adaptive controller, and mails the resulting rate, block
 length, and sampling interval to the sender, which applies them at the next
 sample boundary.  One slot is one millisecond unless configured otherwise.
 
-Loss and extra latency for tests come from sender-side shims, so loopback
-runs exercise the full protocol without touching the network stack.
+Each endpoint is a core without I/O (`SenderCore`, `ReceiverCore`) that
+takes datagrams and times and returns datagrams and wake-up times, behind a
+thin loop that reads the clock, waits in `select` and moves the bytes.  Loss
+and extra latency for tests come from a shim inside the sender's core, so
+loopback runs exercise the full protocol without touching the network stack.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 import select
@@ -19,6 +21,8 @@ import socket
 import struct
 import threading
 import time
+from collections import deque
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,7 +35,7 @@ from .adaptive_sampling import (
     sampling_interval,
 )
 from .coding import decode_payload, encode_payload
-from .core import CodingError, ParameterError, ReceiverChunkStore, serial_diff
+from .core import CodingError, ParameterError, serial_diff
 
 WIRE_VERSION = 1
 CHUNK_MAGIC = b"A3LF"
@@ -42,6 +46,9 @@ RTT_INIT = 2.0
 # The receiver keeps state only for sample ids fewer than this many behind
 # the newest id; chunks of older samples are counted and otherwise ignored.
 ID_WINDOW = 1 << 15
+# Receive buffer a receiver asks for on a socket it opens itself.  The kernel's
+# default held 25 chunk datagrams of 4 KiB, under 2 ms at 16 chunks per ms.
+RCVBUF_BYTES = 4 << 20
 
 _CHUNK_HEADER = struct.Struct(">4sBIQBBBH")
 _FEEDBACK = struct.Struct(">4sBIIBIHHQ")
@@ -352,36 +359,237 @@ class ReceiverLog:
     rows: list[tuple] = field(default_factory=list)
 
 
-class _Shim:
-    """Sender-side egress tap: drops a fraction, delays the rest."""
+class SenderCore:
+    """The sender's protocol without I/O: pacing, the egress shim, staged feedback.
 
-    def __init__(self, config: WireConfig, sock: socket.socket) -> None:
-        self.sock = sock
-        self.drop = config.drop_shim
-        self.delay_us = int(config.delay_shim_ms * 1000)
+    Times are integer microseconds and never go back.  The shim drops each
+    chunk with one draw from its own seeded stream and holds the rest for a
+    fixed delay.  Staged
+    parameters, from feedback or the missing-feedback fallback, swap in at
+    the next sample boundary; the log's final_sigma, final_n and final_ts_ms
+    hold the ones in force.
+    """
+
+    def __init__(self, config: WireConfig, start_us: int) -> None:
+        self.config = config
+        self.log = log = SenderLog()
+        self.start = self.next_sample = self.last_feedback = start_us
+        self.sample_id = 0
+        self.done = False
+        self.pending: tuple[float, int, int] | None = None  # (sigma, n, ts_ms)
         self.rng = random.Random(f"{config.shim_seed}/shim")
-        self.heap: list[tuple[int, int, bytes, tuple]] = []
-        self._seq = 0
-        self.dropped = 0
+        self.delay_us = int(config.delay_shim_ms * 1000)
+        self.queue: deque[tuple[int, bytes]] = deque()  # (due, datagram), due times ascending
+        if config.fixed_rate is not None:
+            log.final_sigma, log.final_n = config.fixed_rate, config.n_init
+        else:
+            init = AdaptiveSamplingState.initial(config.k, config.n_init, config.avt_slots, RTT_INIT)
+            log.final_sigma, log.final_n = init.sigma, init.n
+        log.final_ts_ms = sampling_interval(log.final_n, log.final_sigma) * config.slot_ms
 
-    def send(self, data: bytes, addr, now: int) -> bool:
-        if self.drop > 0.0 and self.rng.random() < self.drop:
-            self.dropped += 1
+    def poll(self, now: int) -> tuple[list[bytes], int | None]:
+        """Datagrams that leave at `now`, and when to poll next (None: all have left)."""
+        # Delayed datagrams already due leave ahead of this poll's sample, so
+        # they never wait behind its encode.
+        out = self._release(now)
+        if not self.done:
+            cfg, n = self.config, self.log.final_n
+            if cfg.fixed_rate is None and self.pending is None:
+                # Silence beyond five feedback periods: assume the pipe
+                # drained and restart from the bandwidth estimate.
+                t_tilde_us = monitoring_interval_length(cfg.avt_slots, n) * cfg.slot_ms * 1000
+                if now - self.last_feedback > 5 * t_tilde_us:
+                    refill = restart_rate(n, RTT_INIT)
+                    self.pending = (refill, n, sampling_interval(n, refill) * cfg.slot_ms)
+                    self.last_feedback = now
+                    self.log.fallbacks += 1
+            if now >= self.next_sample:
+                self._sample(now)
+                out += self._release(now)
+        wakes = [self.queue[0][0]] if self.queue else []
+        if not self.done:
+            wakes.append(self.next_sample)
+        return out, min(wakes, default=None)
+
+    def _release(self, now: int) -> list[bytes]:
+        queue, out = self.queue, []
+        while queue and queue[0][0] <= now:
+            out.append(queue.popleft()[1])
+        return out
+
+    def _sample(self, now: int) -> None:
+        cfg, log = self.config, self.log
+        if self.pending is not None:
+            sigma, n, ts_ms = self.pending
+            log.final_sigma, log.final_n, log.final_ts_ms = sigma, n, max(1, int(ts_ms))
+            self.pending = None
+            log.rows.append(((now - self.start) // 1000, sigma, n, log.final_ts_ms, "apply"))
+        # The sample nominally exists since its scheduled slot; if the poll
+        # came so late that it already breaches the threshold, sending it
+        # cannot help the receiver.
+        gen = self.next_sample
+        if now - gen > cfg.avt_ms * 1000:
+            log.stale_skipped += 1
+        else:
+            sid, k, n = self.sample_id, cfg.k, log.final_n
+            due = now + self.delay_us
+            for idx, part in enumerate(encode_payload(sample_payload(sid, cfg.payload_bytes), k, n)):
+                if cfg.drop_shim > 0.0 and self.rng.random() < cfg.drop_shim:
+                    log.shim_dropped += 1
+                    continue
+                # ChunkPacket(...).encode() without the object: the config and
+                # feedback checks keep every field in range.
+                header = _CHUNK_HEADER.pack(CHUNK_MAGIC, WIRE_VERSION, sid, gen, idx, k, n, len(part))
+                self.queue.append((due, header + part))
+            log.samples_sent += 1
+            self.sample_id = (sid + 1) & 0xFFFFFFFF
+        self.next_sample += log.final_ts_ms * 1000
+        if self.next_sample < now:
+            self.next_sample = now + log.final_ts_ms * 1000
+        self.done = cfg.samples > 0 and log.samples_sent >= cfg.samples
+
+    def on_feedback(self, buf: bytes, now: int) -> None:
+        """Stage the parameters a feedback datagram commands; count a bad one."""
+        if self.done:  # nothing is left to pace
+            return
+        try:
+            fb = FeedbackPacket.decode(buf)
+        except WireDecodeError:
+            fb = None
+        if fb is None or fb.new_n < self.config.k:  # the field caps n at 255
+            self.log.malformed += 1
+            return
+        self.last_feedback = now
+        if self.config.fixed_rate is None:
+            self.pending = (fb.sigma, fb.new_n, fb.new_ts_ms)
+            self.log.feedback_applied += 1
+            self.log.rows.append(((now - self.start) // 1000, *self.pending, "feedback"))
+
+
+class ReceiverCore:
+    """The receiver's protocol without I/O: chunk bookkeeping, decodes, intervals.
+
+    Each interval goes through the `AdaptiveController.step` the simulator
+    runs, with microseconds bucketed into slots.  One table keyed by sample
+    id holds the chunk indices seen and, until the sample decodes, their
+    payloads.  Ids are ordered as 32-bit serial numbers.
+    """
+
+    def __init__(self, config: WireConfig, start_us: int) -> None:
+        self.config = config
+        self.avt = avt = config.avt_slots
+        self.slot_us = config.slot_ms * 1000
+        self.start = start_us
+        init = AdaptiveSamplingState.initial(config.k, config.n_init, avt, rtt_init=RTT_INIT)
+        self.controller = AdaptiveController(init, config.k, avt)
+        self.log = ReceiverLog(rows=self.controller.rows)
+        # sample id -> [bit mask of chunk indices seen, {index: payload}, or None once decoded]
+        self.table: dict[int, list] = {}
+        # Refreshing decodes as (generation slot, decode slot), seeded with a
+        # virtual decode that puts the age at the threshold when the run starts.
+        self.decodes = [(-avt, 0)]
+        self.mi_start_slot = 0
+        self.next_boundary = start_us + init.t_tilde * self.slot_us
+        self.total_delay = 0.0
+        self.ivl_delivered, self.ivl_sent, self.ivl_delay_sum, self.ivl_min_delay = 0, 0, 0.0, math.inf
+
+    def on_tick(self, now: int) -> bytes | None:
+        """End the interval if `now` reached its boundary; returns the feedback datagram."""
+        if now < self.next_boundary:
+            return None
+        slot_ms, delivered = self.config.slot_ms, self.ivl_delivered
+        boundary_slot = (now - self.start) // self.slot_us
+        _raws, _ratios, stats = self.controller.step(
+            self.mi_start_slot,
+            self.mi_start_slot + max(1, boundary_slot - self.mi_start_slot),
+            [self.decodes],
+            (self.avt,),
+            delivered,
+            (self.ivl_delay_sum / delivered) / slot_ms if delivered else math.inf,
+            self.ivl_min_delay / slot_ms,
+            self.ivl_sent,
+        )
+        state = self.controller.state
+        self.decodes = [self.decodes[-1]]
+        self.mi_start_slot = boundary_slot
+        self.next_boundary = now + state.t_tilde * self.slot_us
+        self.ivl_delivered, self.ivl_sent, self.ivl_delay_sum, self.ivl_min_delay = 0, 0, 0.0, math.inf
+        self._prune()
+        delay_ms = stats.wbar_mi * slot_ms if math.isfinite(stats.wbar_mi) else math.inf
+        return FeedbackPacket.from_values(
+            state.mi & 0xFFFFFFFF, state.sigma, state.n, state.t_s * slot_ms,
+            stats.av_ratio, stats.pdr, delay_ms,
+        ).encode()
+
+    def _prune(self) -> None:
+        # Ids mostly arrive in order, so the oldest lead the insertion order and
+        # go without a scan; a full scan runs only when late stragglers would
+        # leave more than ID_WINDOW ids held.
+        newest, table = self.log.max_sample_id, self.table
+        old = []
+        for sid in table:
+            if serial_diff(newest, sid) < ID_WINDOW:
+                break
+            old.append(sid)
+        if len(table) - len(old) > ID_WINDOW:
+            old = [sid for sid in table if serial_diff(newest, sid) >= ID_WINDOW]
+        for sid in old:
+            del table[sid]
+
+    def on_datagram(self, buf: bytes, now: int) -> bool:
+        """Take one datagram; True when it is a chunk of this code, duplicate or not."""
+        log, k = self.log, self.config.k
+        try:
+            pkt = ChunkPacket.decode(buf)
+        except WireDecodeError:
+            pkt = None
+        if pkt is None or pkt.k != k:
+            log.malformed += 1
             return False
-        if self.delay_us <= 0:
-            self.sock.sendto(data, addr)
+        sid, idx, newest = pkt.sample_id, pkt.chunk_index, log.max_sample_id
+        ahead = serial_diff(sid, newest) if newest >= 0 else 1
+        # Ids a window behind the newest may have left the table already, so
+        # their chunks count as received but never decode again.
+        entry = self.table.setdefault(sid, [0, {}]) if ahead > -ID_WINDOW else None
+        if entry is not None:
+            if entry[0] >> idx & 1:
+                log.duplicates += 1
+                return True
+            entry[0] |= 1 << idx
+        log.chunks_received += 1
+        if ahead > 0:
+            # Sent estimate: serial ids are dense, so a newer id accounts for
+            # every sample since the previous newest (the first id for itself
+            # alone), at the n it carries.
+            self.ivl_sent += ahead * pkt.n
+            log.max_sample_id = sid
+        delay_ms = max(0.0, (now - pkt.gen_timestamp_us) / 1000.0)
+        if delay_ms < log.min_delay_ms:
+            log.min_delay_ms = delay_ms
+        if self.config.relative_delay:
+            delay_ms -= log.min_delay_ms
+        self.ivl_delivered += 1
+        self.ivl_delay_sum += delay_ms
+        if delay_ms < self.ivl_min_delay:
+            self.ivl_min_delay = delay_ms
+        self.total_delay += delay_ms
+        log.mean_delay_ms = self.total_delay / log.chunks_received
+        parts = entry and entry[1]
+        if parts is None:
             return True
-        self._seq += 1
-        heapq.heappush(self.heap, (now + self.delay_us, self._seq, data, addr))
+        parts[idx] = pkt.payload
+        if len(parts) < k:
+            return True
+        entry[1] = None
+        log.decoded_samples += 1
+        nbytes = self.config.payload_bytes
+        with suppress(CodingError):
+            if decode_payload(parts, k, pkt.n, nbytes) == sample_payload(sid, nbytes):
+                log.payload_ok += 1
+        gen_slot = (pkt.gen_timestamp_us - self.start) // self.slot_us
+        if gen_slot > self.decodes[-1][0]:
+            self.decodes.append((gen_slot, (now - self.start) // self.slot_us))
         return True
-
-    def flush(self, now: int) -> None:
-        while self.heap and self.heap[0][0] <= now:
-            _, _, data, addr = heapq.heappop(self.heap)
-            self.sock.sendto(data, addr)
-
-    def next_due_us(self) -> int | None:
-        return self.heap[0][0] if self.heap else None
 
 
 def run_sender(
@@ -391,130 +599,40 @@ def run_sender(
 ) -> SenderLog:
     """Pace samples to the destination, applying feedback as it arrives.
 
-    One loop interleaves sample emission, shim flushing, and feedback
-    polling.  New parameters from feedback or the missing-feedback fallback
-    are staged and swapped in atomically at the next sample boundary.
+    A thin loop around `SenderCore` that reads the clock, sends, and waits
+    in `select` for feedback.  `chunks_sent` counts the datagrams the socket
+    accepted and `socket_errors` those it refused.
     """
     if config.dest is None:
         raise ParameterError("sender needs a destination address")
-    log = SenderLog()
     own_sock = sock is None
     if own_sock:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.bind(("0.0.0.0", 0))
-    sock.setblocking(False)
-    shim = _Shim(config, sock)
-
-    k = config.k
-    avt = config.avt_slots
-    if config.fixed_rate is not None:
-        sigma = config.fixed_rate
-        n = config.n_init
-    else:
-        init = AdaptiveSamplingState.initial(k, config.n_init, avt, rtt_init=RTT_INIT)
-        sigma = init.sigma
-        n = init.n
-    ts_ms = sampling_interval(n, sigma) * config.slot_ms
-    pending: tuple[float, int, int] | None = None  # (sigma, n, ts_ms)
-    header = _CHUNK_HEADER.pack
-
-    try:
-        start = now_us()
-        next_sample = start
-        last_feedback = start
-        sample_id = 0
+    with sock if own_sock else nullcontext():
+        sock.setblocking(False)
+        core = SenderCore(config, now_us())
+        log = core.log
         while not (stop is not None and stop.is_set()):
-            now = now_us()
-            # shim packets leave first so a due batch never waits behind
-            # this iteration's encode work
-            shim.flush(now)
-
-            if config.fixed_rate is None and pending is None:
-                # Silence beyond five feedback periods: assume the pipe
-                # drained and restart from the bandwidth estimate.
-                t_tilde_ms = monitoring_interval_length(avt, n) * config.slot_ms
-                if now - last_feedback > 5 * t_tilde_ms * 1000:
-                    refill = restart_rate(n, RTT_INIT)
-                    pending = (refill, n, sampling_interval(n, refill) * config.slot_ms)
-                    last_feedback = now
-                    log.fallbacks += 1
-
-            if now >= next_sample:
-                if pending is not None:
-                    sigma, n, ts_ms = pending
-                    ts_ms = max(1, int(ts_ms))
-                    pending = None
-                    log.rows.append(((now - start) // 1000, sigma, n, ts_ms, "apply"))
-                # The sample nominally exists since its scheduled slot; if the
-                # loop woke up so late that it already breaches the threshold,
-                # sending it cannot help the receiver.
-                gen = next_sample
-                if now - gen > config.avt_ms * 1000:
-                    log.stale_skipped += 1
-                else:
-                    payload = sample_payload(sample_id, config.payload_bytes)
-                    try:
-                        for idx, part in enumerate(encode_payload(payload, k, n)):
-                            # ChunkPacket(...).encode() without the object: the
-                            # config and feedback checks keep every field in range.
-                            data = header(CHUNK_MAGIC, WIRE_VERSION, sample_id, gen, idx, k, n, len(part))
-                            if shim.send(data + part, config.dest, now):
-                                log.chunks_sent += 1
-                    except OSError:
-                        log.socket_errors += 1
-                    log.samples_sent += 1
-                    sample_id = (sample_id + 1) & 0xFFFFFFFF
-                next_sample += ts_ms * 1000
-                if next_sample < now:
-                    next_sample = now + ts_ms * 1000
-                if config.samples and log.samples_sent >= config.samples:
-                    break
-                # Encoding took time: wait from now, not from the loop's top,
-                # or a late sender sleeps a whole slot after every sample.
-                now = now_us()
-
-            wait_us = next_sample - now
-            due = shim.next_due_us()
-            if due is not None:
-                wait_us = min(wait_us, due - now)
-            wait_us = max(0, min(wait_us, 20_000))
-            readable, _, _ = select.select([sock], [], [], wait_us / 1e6)
-            if readable:
+            datagrams, wake = core.poll(now_us())
+            for data in datagrams:
+                try:
+                    sock.sendto(data, config.dest)
+                    log.chunks_sent += 1
+                except OSError:
+                    log.socket_errors += 1
+            if wake is None:
+                break
+            # Encoding took time: wait from now, not from the poll's clock
+            # read, or a late sender sleeps a whole slot after every sample.
+            wait_us = max(0, min(wake - now_us(), 20_000))
+            if select.select([sock], [], [], wait_us / 1e6)[0]:
                 try:
                     data, _addr = sock.recvfrom(65535)
                 except OSError:
                     log.socket_errors += 1
                     continue
-                try:
-                    fb = FeedbackPacket.decode(data)
-                except WireDecodeError:
-                    log.malformed += 1
-                    continue
-                if fb.new_n < k:  # the field caps n at 255
-                    log.malformed += 1
-                    continue
-                last_feedback = now_us()
-                if config.fixed_rate is None:
-                    pending = (fb.sigma, fb.new_n, fb.new_ts_ms)
-                    log.feedback_applied += 1
-                    log.rows.append(
-                        ((last_feedback - start) // 1000, fb.sigma, fb.new_n, fb.new_ts_ms, "feedback")
-                    )
-
-        # Let the delay shim drain so the tail of the run still arrives.
-        while shim.heap and not (stop is not None and stop.is_set()):
-            due = shim.next_due_us()
-            now = now_us()
-            if due > now:
-                time.sleep(min((due - now) / 1e6, 0.05))
-            shim.flush(now_us())
-    finally:
-        log.shim_dropped = shim.dropped
-        log.final_sigma = sigma
-        log.final_n = n
-        log.final_ts_ms = ts_ms
-        if own_sock:
-            sock.close()
+                core.on_feedback(data, now_us())
     return log
 
 
@@ -526,99 +644,36 @@ def run_receiver(
 ) -> ReceiverLog:
     """Collect chunks, decode, score intervals, and mail feedback.
 
-    Each interval goes through the `AdaptiveController.step` the simulator
-    runs; time is wall-clock milliseconds bucketed into slots.  With max_samples > 0 the
-    loop ends once that many distinct samples have decoded (test hook).
-
-    After `select` reports the socket readable, the loop reads datagrams
-    until the socket is empty, one per pass, so interval boundaries and
-    `stop` are still checked between any two datagrams.  Sample ids are
-    ordered as 32-bit serial numbers, and at each boundary the state of
-    ids `ID_WINDOW` or more behind the newest one is dropped.
+    A thin loop around `ReceiverCore` that reads the clock, receives, and
+    sends each feedback datagram to where the last chunk came from.  With
+    max_samples > 0 it ends once that many distinct samples have decoded
+    (test hook).  A socket it opens itself asks for `RCVBUF_BYTES` of
+    receive buffer.  Once `select` reports the socket readable, the loop
+    reads it until empty, one datagram per pass, so interval boundaries and
+    `stop` are still checked between any two datagrams.
     """
-    log = ReceiverLog()
     own_sock = sock is None
     if own_sock:
         if config.listen is None:
             raise ParameterError("receiver needs a listen address")
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RCVBUF_BYTES)
         sock.bind(config.listen)
-    sock.setblocking(False)
-
-    k = config.k
-    avt = config.avt_slots
-    slot_us = config.slot_ms * 1000
-    controller = AdaptiveController(
-        AdaptiveSamplingState.initial(k, config.n_init, avt, rtt_init=RTT_INIT), k, avt
-    )
-    log.rows = controller.rows
-    store = ReceiverChunkStore(k)
-    # Refreshing decodes as (generation slot, decode slot), seeded with a
-    # virtual decode that puts the age at the threshold when the run starts.
-    decodes = [(-avt, 0)]
-    shares: dict[int, dict[int, bytes]] = {}
-    sender_addr: tuple | None = None
-
-    start = now_us()
-    mi_start_slot = 0
-    next_boundary = start + controller.state.t_tilde * slot_us
-    ivl_delivered = 0
-    ivl_delay_sum = 0.0
-    ivl_min_delay = math.inf
-    ivl_sent = 0
-    total_delay = 0.0
-    min_delay_raw = math.inf
-    ready = False  # the last read found a datagram, so more may be queued
-
-    try:
+    with sock if own_sock else nullcontext():
+        sock.setblocking(False)
+        core = ReceiverCore(config, now_us())
+        log = core.log
+        sender = None
+        ready = False  # the last read found a datagram, so more may be queued
         while not (stop is not None and stop.is_set()):
-            now = now_us()
-            if now >= next_boundary:
-                boundary_slot = (now - start) // slot_us
-                _raws, _ratios, stats = controller.step(
-                    mi_start_slot,
-                    mi_start_slot + max(1, boundary_slot - mi_start_slot),
-                    [decodes],
-                    (avt,),
-                    ivl_delivered,
-                    (ivl_delay_sum / ivl_delivered) / config.slot_ms if ivl_delivered else math.inf,
-                    ivl_min_delay / config.slot_ms,
-                    ivl_sent,
-                )
-                decodes = [decodes[-1]]
-                state = controller.state
-                if sender_addr is not None:
-                    fb = FeedbackPacket.from_values(
-                        state.mi & 0xFFFFFFFF,
-                        state.sigma,
-                        state.n,
-                        state.t_s * config.slot_ms,
-                        stats.av_ratio,
-                        stats.pdr,
-                        stats.wbar_mi * config.slot_ms
-                        if math.isfinite(stats.wbar_mi)
-                        else math.inf,
-                    )
-                    try:
-                        sock.sendto(fb.encode(), sender_addr)
-                        log.feedback_sent += 1
-                    except OSError:
-                        pass
-                mi_start_slot = boundary_slot
-                next_boundary = now + state.t_tilde * slot_us
-                ivl_delivered = 0
-                ivl_sent = 0
-                ivl_delay_sum = 0.0
-                ivl_min_delay = math.inf
-                newest = log.max_sample_id
-                if newest >= 0:
-                    store.prune(newest, ID_WINDOW)
-                    shares = {s: b for s, b in shares.items() if serial_diff(newest, s) < ID_WINDOW}
-
+            feedback = core.on_tick(now_us())
+            if feedback is not None and sender is not None:
+                with suppress(OSError):
+                    sock.sendto(feedback, sender)
+                    log.feedback_sent += 1
             if not ready:
-                wait = max(0, min(next_boundary - now_us(), 20_000))
-                readable, _, _ = select.select([sock], [], [], wait / 1e6)
-                if not readable:
+                wait_us = max(0, min(core.next_boundary - now_us(), 20_000))
+                if not select.select([sock], [], [], wait_us / 1e6)[0]:
                     continue
             try:
                 data, addr = sock.recvfrom(65535)
@@ -626,67 +681,8 @@ def run_receiver(
                 ready = False
                 continue
             ready = True
-            try:
-                pkt = ChunkPacket.decode(data)
-            except WireDecodeError:
-                log.malformed += 1
-                continue
-            if pkt.k != k:
-                log.malformed += 1
-                continue
-            sender_addr = addr
-            arrival = now_us()
-            sid = pkt.sample_id
-            newest = log.max_sample_id
-            ahead = serial_diff(sid, newest) if newest >= 0 else 1
-            # The state of ids a window behind the newest is dropped, so
-            # their chunks count as received but never decode again.
-            live = ahead > -ID_WINDOW
-            if live:
-                dup_before = store.duplicates
-                decoded_now = store.add(sid, pkt.chunk_index)
-                if store.duplicates != dup_before:
-                    log.duplicates += 1
-                    continue
-            log.chunks_received += 1
-            if ahead > 0:
-                # Sent estimate: serial ids are dense, so a newer id accounts
-                # for every sample since the previous newest (the first id for
-                # itself alone), at the n it carries.
-                ivl_sent += ahead * pkt.n
-                log.max_sample_id = sid
-            delay_ms = max(0.0, (arrival - pkt.gen_timestamp_us) / 1000.0)
-            if delay_ms < min_delay_raw:
-                min_delay_raw = delay_ms
-                log.min_delay_ms = delay_ms
-            if config.relative_delay:
-                delay_ms -= min_delay_raw
-            ivl_delivered += 1
-            ivl_delay_sum += delay_ms
-            total_delay += delay_ms
-            if delay_ms < ivl_min_delay:
-                ivl_min_delay = delay_ms
-            if not live:
-                continue
-            if not store.is_decoded(sid) or decoded_now:
-                shares.setdefault(sid, {})[pkt.chunk_index] = pkt.payload
-            if decoded_now:
-                log.decoded_samples += 1
-                bucket = shares.pop(sid)
-                try:
-                    payload = decode_payload(bucket, k, pkt.n, config.payload_bytes)
-                    if payload == sample_payload(sid, config.payload_bytes):
-                        log.payload_ok += 1
-                except CodingError:
-                    pass
-                gen_slot = (pkt.gen_timestamp_us - start) // slot_us
-                if gen_slot > decodes[-1][0]:
-                    decodes.append((gen_slot, (arrival - start) // slot_us))
-                if max_samples and log.decoded_samples >= max_samples:
-                    break
-    finally:
-        if log.chunks_received:
-            log.mean_delay_ms = total_delay / log.chunks_received
-        if own_sock:
-            sock.close()
+            if core.on_datagram(data, now_us()):
+                sender = addr
+            if max_samples and log.decoded_samples >= max_samples:
+                break
     return log

@@ -4,49 +4,67 @@
 refactor renames one of them, or stops calling it through its module's
 globals, the benchmark's per-layer metrics silently read zero.  This test
 installs the tracer in a fresh interpreter (every traced name must resolve),
-runs a short adaptive simulation, and checks that the controller's seams
-recorded calls.  It only imports from `perfbench/`.
+runs a short adaptive simulation or a short loopback round, and checks that
+the seams recorded calls.  It only imports from `perfbench/`.
 """
 
 import json
 import os
 import subprocess
 import sys
-import textwrap
 
 import agefec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(agefec.__file__)))
 
-SCRIPT = textwrap.dedent(
-    """
-    import json, sys
-    sys.path.insert(0, sys.argv[1])
-    import agefec
-    from tracer import Tracer
+PROLOGUE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import agefec
+from tracer import Tracer
 
-    tracer = Tracer()
-    tracer.install()
-    from agefec import experiments
+tracer = Tracer()
+tracer.install()
+"""
 
-    spec = experiments.build_spec(
-        overrides={"mode": "vsvb-sim", "duration": 3000, "out_dir": sys.argv[2]}
-    )
-    experiments.run_experiment(spec)
-    print(json.dumps({name: entry[0] for name, entry in tracer.by_name().items()}))
-    """
+SIM = """
+from agefec import experiments
+
+spec = experiments.build_spec(
+    overrides={"mode": "vsvb-sim", "duration": 3000, "out_dir": sys.argv[2]}
 )
+experiments.run_experiment(spec)
+"""
+
+LOOPBACK = """
+import socket, threading
+from agefec import wire
+
+sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+sock.bind(("127.0.0.1", 0))
+config = wire.WireConfig(dest=sock.getsockname(), k=3, n_init=5, payload_bytes=300, samples=20,
+                         fixed_rate=5.0, drop_shim=0.2, shim_seed=1)
+stop = threading.Event()
+receiver = threading.Thread(target=wire.run_receiver, args=(config, stop, sock))
+receiver.start()
+wire.run_sender(config)
+threading.Timer(0.3, stop.set).start()
+receiver.join(timeout=10.0)
+sock.close()
+"""
 
 
-def test_tracer_sees_the_adaptive_controller(tmp_path):
+def traced_calls(tmp_path, body: str) -> dict:
+    """Run `body` with the tracer installed; returns the calls per traced name."""
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
         PYTHONDONTWRITEBYTECODE="1",
     )
+    script = PROLOGUE + body + "print(json.dumps({n: e[0] for n, e in tracer.by_name().items()}))\n"
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "perfbench"), str(tmp_path)],
+        [sys.executable, "-c", script, os.path.join(ROOT, "perfbench"), str(tmp_path)],
         env=env,
         capture_output=True,
         text=True,
@@ -54,6 +72,18 @@ def test_tracer_sees_the_adaptive_controller(tmp_path):
         cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_tracer_sees_the_adaptive_controller(tmp_path):
+    calls = traced_calls(tmp_path, SIM)
     assert calls.get("adaptive_sampling.process_interval", 0) > 0
     assert calls.get("adaptive_sampling.interval_age_violation", 0) > 0
+
+
+def test_tracer_sees_the_wire_and_its_codec(tmp_path):
+    calls = traced_calls(tmp_path, LOOPBACK)
+    for name in ("wire.ChunkPacket.decode", "wire.sample_payload", "coding.encode_payload"):
+        assert calls.get(name, 0) > 0, name
+    # the tracer files decode_payload calls under .systematic or .parity
+    assert sum(c for name, c in calls.items() if name.startswith("coding.decode_payload")) > 0

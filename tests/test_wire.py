@@ -1,5 +1,7 @@
-"""Datagram formats and the UDP endpoints on loopback."""
+"""Datagram formats, the endpoint cores and the UDP endpoints on loopback."""
 
+import contextlib
+import errno
 import hashlib
 import math
 import os
@@ -9,16 +11,18 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agefec import wire
 from agefec.adaptive_sampling import ADAPTIVE_COLUMNS
 from agefec.cli import main
-from agefec.coding import encode_payload
-from agefec.core import ParameterError, ReceiverChunkStore, serial_diff
+from agefec.coding import decode_payload, encode_payload
+from agefec.core import ParameterError, serial_diff
 from agefec.wire import (
     _CHUNK_HEADER,
     CHUNK_MAGIC,
@@ -248,6 +252,86 @@ def test_loopback_decodes_everything():
     assert log.min_delay_ms < 50.0
 
 
+def test_loopback_round_keeps_the_benchmark_contract(monkeypatch):
+    """A wire-loopback benchmark round, checked as the benchmark checks it.
+
+    Recording wrappers stand in for the codec names in `wire`, both
+    endpoints get their sockets passed in, the receiver returns at its 50th
+    decode, and the chunks still in flight are read up to an end marker.
+    """
+    encoded, decoded = [], []
+
+    def record_encode(payload, k, n):
+        encoded.append(payload)
+        return encode_payload(payload, k, n)
+
+    def record_decode(shares, k, n, nbytes):
+        decoded.append(decode_payload(shares, k, n, nbytes))
+        return decoded[-1]
+
+    monkeypatch.setattr(wire, "encode_payload", record_encode)
+    monkeypatch.setattr(wire, "decode_payload", record_decode)
+    recv_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    recv_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4 << 20)
+    recv_sock.bind(("127.0.0.1", 0))
+    send_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    send_sock.bind(("127.0.0.1", 0))
+    cfg = WireConfig(dest=recv_sock.getsockname(), k=8, n_init=16, payload_bytes=4096, samples=50,
+                     fixed_rate=16.0, drop_shim=0.1, shim_seed=3)
+    deadline = time.monotonic() + 10.0
+    stop = SimpleNamespace(is_set=lambda: time.monotonic() >= deadline)  # is_set is all it has
+    result = {}
+    thread = threading.Thread(
+        target=lambda: result.update(log=run_receiver(cfg, stop=stop, sock=recv_sock, max_samples=50))
+    )
+    thread.start()
+    left, marker = 0, False
+    try:
+        send_log = run_sender(cfg, sock=send_sock)
+        thread.join(timeout=10.0)
+        send_sock.sendto(b"END", recv_sock.getsockname())
+        recv_sock.settimeout(5.0)
+        while not marker:
+            data = recv_sock.recv(65535)
+            marker = data == b"END"
+            left += not marker
+    finally:
+        deadline = 0.0
+        thread.join(timeout=2.0)
+        send_sock.close()
+        recv_sock.close()
+    assert not thread.is_alive()
+    log = result["log"]
+    assert send_log.samples_sent == log.decoded_samples == log.payload_ok == 50
+    assert len(encoded) == len(decoded) == 50 and Counter(encoded) == Counter(decoded)
+    assert log.chunks_received + left == send_log.chunks_sent
+    assert marker
+
+
+def test_receiver_asks_for_a_large_buffer_on_its_own_socket(monkeypatch):
+    """Its own socket gets what the kernel grants for 4 MiB; a socket passed in keeps its own."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+        default = probe.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+        probe.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4 << 20)
+        granted = probe.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+    seen = []
+
+    class Recording(socket.socket):
+        def bind(self, address):
+            super().bind(address)
+            seen.append(self.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF))
+
+    names = {n: getattr(socket, n) for n in ("AF_INET", "SOCK_DGRAM", "SOL_SOCKET", "SO_RCVBUF")}
+    monkeypatch.setattr(wire, "socket", SimpleNamespace(socket=Recording, **names))
+    stopped = SimpleNamespace(is_set=lambda: True)
+    run_receiver(WireConfig(listen=("127.0.0.1", 0)), stop=stopped)
+    assert seen == [granted]
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as given:
+        given.bind(("127.0.0.1", 0))
+        run_receiver(WireConfig(), stop=stopped, sock=given)
+        assert given.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF) == default
+
+
 def test_crafted_feedback_changes_sender_pacing():
     """Feedback with a new sampling interval takes effect at the sender."""
     fake_recv = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -370,48 +454,7 @@ def test_late_sender_paces_from_the_clock_after_encoding(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# A receiver on a virtual clock
-
-
-class VirtualSocket:
-    """Stands in for the receiver's socket, with datagrams due at virtual times.
-
-    `wire.now_us` and `wire.select` read the same clock: a wait in select
-    moves it to the next due datagram or by the whole timeout, and each
-    read costs `read_us`.
-    """
-
-    def __init__(self, monkeypatch, datagrams, read_us=0):
-        self.clock = [1_000_000]
-        self.queue = deque(sorted(datagrams, key=lambda d: d[0]))
-        self.read_us = read_us
-        self.sent = []  # (clock, datagrams still queued, feedback bytes)
-        monkeypatch.setattr(wire, "now_us", lambda: self.clock[0])
-        monkeypatch.setattr(wire, "select", SimpleNamespace(select=self.select))
-
-    def setblocking(self, flag):
-        pass
-
-    def select(self, rlist, wlist, xlist, timeout):
-        limit = self.clock[0] + int(round(timeout * 1e6))
-        if self.queue and self.queue[0][0] <= limit:
-            self.clock[0] = max(self.clock[0], self.queue[0][0])
-            return rlist, [], []
-        self.clock[0] = limit
-        return [], [], []
-
-    def recvfrom(self, size):
-        if not self.queue or self.queue[0][0] > self.clock[0]:
-            raise BlockingIOError
-        self.clock[0] += self.read_us
-        return self.queue.popleft()[1], ("127.0.0.1", 9)
-
-    def sendto(self, data, addr):
-        self.sent.append((self.clock[0], len(self.queue), data))
-
-    def receive(self, cfg, until_us, **kw):
-        stop = SimpleNamespace(is_set=lambda: self.clock[0] >= until_us)
-        return run_receiver(cfg, stop=stop, sock=self, **kw)
+# The cores on a virtual clock
 
 
 def sample_chunks(sid, at_us, cfg, n=None, indices=None):
@@ -424,15 +467,79 @@ def sample_chunks(sid, at_us, cfg, n=None, indices=None):
     ]
 
 
-def test_receiver_orders_sample_ids_across_the_wrap(monkeypatch):
+def feed(cfg, datagrams, until_us, start_us=1_000_000):
+    """Run a ReceiverCore over (time, datagram) pairs until `until_us`.
+
+    The core ticks at each interval boundary before the next datagram, as
+    the receiver's loop wakes for it; a datagram due at a boundary is read
+    before the tick.
+    """
+    core = wire.ReceiverCore(cfg, start_us)
+    for at, data in [*sorted(datagrams, key=lambda d: d[0]), (until_us, None)]:
+        while core.next_boundary < at:
+            core.on_tick(core.next_boundary)
+        if data is not None:
+            core.on_datagram(data, at)
+    return core.log
+
+
+def virtual_link(cfg, delay_us=2000, start_us=1_000_000):
+    """Couple a SenderCore and a ReceiverCore on one virtual clock.
+
+    Datagrams take `delay_us` each way, and the receiver mails feedback
+    once a chunk has reached it, as its loop does.  The clock jumps from
+    one event to the next until the sender is done and nothing is in
+    flight.  Returns both logs and the virtual time spanned.
+    """
+    clock = start_us
+    sender, receiver = wire.SenderCore(cfg, clock), wire.ReceiverCore(cfg, clock)
+    to_receiver, to_sender = deque(), deque()  # (arrival, datagram); a fixed delay keeps them in order
+    heard = False
+    while True:
+        datagrams, wake = sender.poll(clock)
+        sender.log.chunks_sent += len(datagrams)  # the link takes every datagram
+        to_receiver.extend((clock + delay_us, data) for data in datagrams)
+        while to_receiver and to_receiver[0][0] <= clock:
+            heard |= receiver.on_datagram(to_receiver.popleft()[1], clock)
+        feedback = receiver.on_tick(clock)
+        if feedback is not None and heard:
+            to_sender.append((clock + delay_us, feedback))
+        while to_sender and to_sender[0][0] <= clock:
+            sender.on_feedback(to_sender.popleft()[1], clock)
+        if wake is None and not to_receiver:
+            return sender.log, receiver.log, clock - start_us
+        events = [receiver.next_boundary] + [q[0][0] for q in (to_receiver, to_sender) if q]
+        clock = min(events if wake is None else [wake, *events])
+
+
+def test_virtual_link_adapts_and_delivers_without_wall_time():
+    """2000 samples at 10% shim drop: every decode checks out, pdr tracks the shim,
+    feedback moves the sender's n, and the run takes less wall time than it spans."""
+    cfg = WireConfig(k=8, n_init=16, payload_bytes=64, samples=2000, drop_shim=0.1, shim_seed=5)
+    wall = time.monotonic()
+    send_log, log, span_us = virtual_link(cfg)
+    wall = time.monotonic() - wall
+    assert send_log.samples_sent == 2000 and send_log.stale_skipped == 0
+    assert log.decoded_samples == log.payload_ok > 0
+    pass_ratio = send_log.chunks_sent / (send_log.chunks_sent + send_log.shim_dropped)
+    pdr_col = ADAPTIVE_COLUMNS.index("pdr")
+    assert len(log.rows) >= 3
+    for row in log.rows:
+        assert abs(row[pdr_col] - pass_ratio) <= 0.05, (row, pass_ratio)
+    assert send_log.feedback_applied > 0
+    assert {row[2] for row in send_log.rows if row[4] == "apply"} - {cfg.n_init}
+    # nothing sleeps: the run is CPU work only, far shorter than its span
+    assert wall < span_us / 1e6 / 4, (wall, span_us)
+
+
+def test_receiver_orders_sample_ids_across_the_wrap():
     """Ids from 2**32 - 100 through the wrap keep the sent estimate and pdr."""
     cfg = WireConfig(k=3, n_init=5, avt_ms=20, payload_bytes=30)
     first = 2**32 - 100
     datagrams = []
     for i in range(1000):
         datagrams += sample_chunks((first + i) & 0xFFFFFFFF, 1_000_000 + 2000 * i, cfg)
-    link = VirtualSocket(monkeypatch, datagrams)
-    log = link.receive(cfg, until_us=1_000_000 + 2000 * 1000)
+    log = feed(cfg, datagrams, until_us=1_000_000 + 2000 * 1000)
     assert log.max_sample_id == (first + 999) & 0xFFFFFFFF == 899
     assert log.decoded_samples == log.payload_ok == 1000
     assert log.malformed == log.duplicates == 0
@@ -450,37 +557,58 @@ def test_serial_diff_orders_across_the_wrap():
     assert serial_diff(2**31, 0) == -(2**31)
 
 
-def test_chunk_store_stays_within_the_window_over_a_million_ids():
-    """Pruned as the receiver does, the store holds at most ID_WINDOW ids; ids wrap on the way."""
-    store = ReceiverChunkStore(1)
+def test_receiver_state_stays_within_the_window_over_a_million_ids():
+    """A million ids cross the 2**32 wrap, one a millisecond; after every
+    boundary the receiver holds at most ID_WINDOW of them.
+
+    Most ids send one of their two chunks, so the receiver holds their
+    payloads; every thousandth sends both and decodes.  Every ten-thousandth
+    id arrives 500 ids late, after newer ones, and every ten-thousandth an
+    id more than a window old sends another chunk.
+    """
+    cfg = WireConfig(k=2, n_init=2, avt_ms=20, payload_bytes=8)
+    core = wire.ReceiverCore(cfg, 0)
+
+    def chunk(sid, idx=0):  # the halves of an 8-byte sample payload; the first is the id
+        part = sample_payload(sid, 8)[4:] if idx else sid.to_bytes(4, "big")
+        return _CHUNK_HEADER.pack(CHUNK_MAGIC, WIRE_VERSION, sid, 0, idx, 2, 2, 4) + part
+
     first = 2**32 - 300_000
+    late, held, stale = {}, [], 0
     for i in range(1_000_000):
-        sid = (first + i) & 0xFFFFFFFF
-        assert store.add(sid, 0)
+        sid, now = (first + i) & 0xFFFFFFFF, i * 1000
+        if core.next_boundary <= now:
+            core.on_tick(now)
+            held.append(len(core.table))
+        if i % 10_000 == 5_000:
+            late[i + 500] = sid
+        else:
+            core.on_datagram(chunk(sid), now)
         if i % 1000 == 999:
-            store.prune(sid, ID_WINDOW)
-            assert len(store._masks) <= ID_WINDOW and len(store.decoded) <= ID_WINDOW
-    assert len(store._masks) == len(store.decoded) == ID_WINDOW
-    assert store.is_decoded(sid) and not store.is_decoded((sid - ID_WINDOW) & 0xFFFFFFFF)
+            core.on_datagram(chunk(sid, 1), now)
+        if i in late:
+            core.on_datagram(chunk(late.pop(i)), now)
+        if i % 10_000 == 0 and i > ID_WINDOW:
+            core.on_datagram(chunk((sid - ID_WINDOW - 10) & 0xFFFFFFFF, 1), now)
+            stale += 1
+    core.on_tick(core.next_boundary)
+    log = core.log
+    assert len(held) > 100 and max(held) <= ID_WINDOW
+    assert log.decoded_samples == log.payload_ok == 1000
+    assert log.chunks_received == 1_000_000 + 1000 + stale
+    assert log.duplicates == log.malformed == 0
+    assert log.max_sample_id == sid and len(core.table) == ID_WINDOW
+    assert sid in core.table and (sid - ID_WINDOW) & 0xFFFFFFFF not in core.table
 
 
-def test_chunk_store_prune_drops_late_stragglers():
-    store = ReceiverChunkStore(1)
-    for sid in [*range(10, 20), 3, 2, *range(20, 30)]:
-        store.add(sid, 0)
-    store.prune(29, 10)
-    assert sorted(store._masks) == sorted(store.decoded) == list(range(20, 30))
-
-
-def test_receiver_never_decodes_a_pruned_sample_again(monkeypatch):
+def test_receiver_never_decodes_a_pruned_sample_again():
     """Chunks of an id a window behind the newest count as received and decode nothing."""
     cfg = WireConfig(k=3, n_init=5, avt_ms=20, payload_bytes=30)
     datagrams = sample_chunks(0, 1_001_000, cfg, indices=range(3))
     datagrams += sample_chunks(ID_WINDOW + 5, 1_002_000, cfg, indices=range(3))
     # after the first interval boundary (400 ms), every chunk of sample 0 again
     datagrams += sample_chunks(0, 1_500_000, cfg)
-    link = VirtualSocket(monkeypatch, datagrams)
-    log = link.receive(cfg, until_us=1_600_000)
+    log = feed(cfg, datagrams, until_us=1_600_000)
     assert len(log.rows) == 1
     assert log.decoded_samples == log.payload_ok == 2
     assert log.chunks_received == 3 + 3 + 5
@@ -489,31 +617,75 @@ def test_receiver_never_decodes_a_pruned_sample_again(monkeypatch):
 
 
 def test_receiver_checks_boundaries_between_queued_datagrams(monkeypatch):
-    """Draining a full socket still ends an interval between two datagrams."""
+    """Draining a full socket still ends an interval between two datagrams.
+
+    The loop's own timing: 200 datagrams are queued at once and each read
+    costs 4 ms of virtual time, so the interval ending at 400 ms must end
+    after the 100th read.
+    """
     cfg = WireConfig(k=3, n_init=5, avt_ms=20, payload_bytes=30)
-    datagrams = []
-    for sid in range(40):
-        datagrams += sample_chunks(sid, 1_000_000, cfg)
-    # 200 datagrams queued at once, 4 ms of work each; the interval ends at 400 ms
-    link = VirtualSocket(monkeypatch, datagrams, read_us=4000)
-    log = link.receive(cfg, until_us=1_000_000 + 200 * 4000 + 1000)
+    queue = deque(data for sid in range(40) for _, data in sample_chunks(sid, 1_000_000, cfg))
+    clock, sent = [1_000_000], []
+
+    def recvfrom(size):
+        if not queue:
+            raise BlockingIOError
+        clock[0] += 4000
+        return queue.popleft(), ("127.0.0.1", 9)
+
+    def fake_select(rlist, wlist, xlist, timeout):
+        if queue:
+            return rlist, [], []
+        clock[0] += int(round(timeout * 1e6))
+        return [], [], []
+
+    sock = SimpleNamespace(setblocking=lambda flag: None, recvfrom=recvfrom,
+                           sendto=lambda data, addr: sent.append((clock[0], len(queue))))
+    monkeypatch.setattr(wire, "now_us", lambda: clock[0])
+    monkeypatch.setattr(wire, "select", SimpleNamespace(select=fake_select))
+    until = 1_000_000 + 200 * 4000 + 1000
+    log = run_receiver(cfg, stop=SimpleNamespace(is_set=lambda: clock[0] >= until), sock=sock)
     assert log.decoded_samples == log.payload_ok == 40
     assert log.chunks_received == 200
     assert log.rows
-    boundary_at, still_queued, _ = link.sent[0]
-    assert boundary_at == 1_400_000 and still_queued == 100
+    assert sent[0] == (1_400_000, 100)
 
 
-def test_chunk_from_a_neighbouring_sample_fails_the_payload_check(monkeypatch):
+def test_chunk_from_a_neighbouring_sample_fails_the_payload_check():
     """Sample 7 decodes from data chunks 0 and 2 and sample 8's chunk 1: payload_ok stays 0."""
     cfg = WireConfig(k=3, n_init=5, avt_ms=20, payload_bytes=300)
     own = sample_chunks(7, 1_001_000, cfg, indices=(0, 2))
     neighbour = encode_payload(sample_payload(8, cfg.payload_bytes), cfg.k, cfg.n_init)[1]
     swapped = (1_001_000, ChunkPacket(7, 1_001_000, 1, cfg.k, cfg.n_init, neighbour).encode())
-    link = VirtualSocket(monkeypatch, [*own, swapped])
-    log = link.receive(cfg, until_us=1_100_000)
+    log = feed(cfg, [*own, swapped], until_us=1_100_000)
     assert log.decoded_samples == 1
     assert log.payload_ok == 0
+
+
+def _mangle(data, how, r, k):
+    if how == "flip":
+        bit = r % (8 * len(data))
+        return data[: bit // 8] + bytes([data[bit // 8] ^ 1 << bit % 8]) + data[bit // 8 + 1 :]
+    if how == "cut":
+        return data[: r % len(data)]
+    if how == "k":  # a well-formed chunk of another code
+        return data[:18] + bytes([k + 1]) + data[19:]
+    return data
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 14), st.sampled_from(["copy", "flip", "cut", "k"]),
+                          st.integers(0, 2**16)), max_size=40))
+def test_receiver_counts_every_datagram_exactly_once(ops):
+    """Valid chunks, duplicates, bit flips, truncations and chunks of another
+    k: each datagram is received, a duplicate or malformed, exactly one of them."""
+    cfg = WireConfig(k=3, n_init=5, avt_ms=20, payload_bytes=30)
+    valid = [data for sid in range(3) for _, data in sample_chunks(sid, 1_000_000, cfg)]
+    datagrams = [(1_000_000 + 50_000 * i, _mangle(valid[which], how, r, cfg.k))
+                 for i, (which, how, r) in enumerate(ops)]
+    log = feed(cfg, datagrams, until_us=1_000_000 + 50_000 * len(ops) + 1)
+    assert log.chunks_received + log.duplicates + log.malformed == len(ops)
+    assert log.payload_ok <= log.decoded_samples
 
 
 # --------------------------------------------------------------------------
@@ -662,3 +834,46 @@ def test_sender_ignores_feedback_with_n_below_k():
     assert log.malformed == 2
     assert log.feedback_applied == 1
     assert (log.final_n, log.final_ts_ms) == (4, 25)
+
+
+class RefusingSocket(socket.socket):
+    """A UDP socket whose fifth sendto fails with ENOBUFS."""
+
+    sends = 0
+
+    def sendto(self, data, address):
+        self.sends += 1
+        if self.sends == 5:
+            raise OSError(errno.ENOBUFS, os.strerror(errno.ENOBUFS))
+        return super().sendto(data, address)
+
+
+@pytest.mark.parametrize(
+    "delay_ms, stop_after_s, sent, errors", [(0, None, 19, 1), (5, None, 19, 1), (1000, 0.1, 0, 0)]
+)
+def test_sender_counts_only_the_chunks_its_socket_accepts(delay_ms, stop_after_s, sent, errors):
+    """A refused send is counted and the sender carries on, with a delay shim or without.
+
+    A chunk the delay shim still holds when the sender stops was never sent.
+    """
+    recv = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    recv.bind(("127.0.0.1", 0))
+    recv.settimeout(0.3)
+    sock = RefusingSocket(socket.AF_INET, socket.SOCK_DGRAM)
+    stop = None
+    if stop_after_s:
+        deadline = time.monotonic() + stop_after_s
+        stop = SimpleNamespace(is_set=lambda: time.monotonic() >= deadline)
+    arrived = 0
+    try:
+        cfg = WireConfig(dest=recv.getsockname(), k=3, n_init=5, payload_bytes=30, samples=4,
+                         fixed_rate=5.0, delay_shim_ms=delay_ms)
+        log = run_sender(cfg, stop=stop, sock=sock)
+        with contextlib.suppress(TimeoutError):
+            while recv.recv(65535):
+                arrived += 1
+    finally:
+        sock.close()
+        recv.close()
+    assert (log.samples_sent, log.chunks_sent, log.socket_errors) == (4, sent, errors)
+    assert arrived == log.chunks_sent
