@@ -557,9 +557,9 @@ def test_serial_diff_orders_across_the_wrap():
     assert serial_diff(2**31, 0) == -(2**31)
 
 
-def test_receiver_state_stays_within_the_window_over_a_million_ids():
+def test_chunk_store_stays_within_the_window_over_a_million_ids():
     """A million ids cross the 2**32 wrap, one a millisecond; after every
-    boundary the receiver holds at most ID_WINDOW of them.
+    boundary the receiver's table holds at most ID_WINDOW of them.
 
     Most ids send one of their two chunks, so the receiver holds their
     payloads; every thousandth sends both and decodes.  Every ten-thousandth
@@ -599,6 +599,25 @@ def test_receiver_state_stays_within_the_window_over_a_million_ids():
     assert log.duplicates == log.malformed == 0
     assert log.max_sample_id == sid and len(core.table) == ID_WINDOW
     assert sid in core.table and (sid - ID_WINDOW) & 0xFFFFFFFF not in core.table
+
+
+def test_chunk_store_prune_drops_late_stragglers():
+    """An id that arrived late, behind a newer one, leaves the table once a window old.
+
+    Two ids of the oldest window arrive after the first id of the next, so
+    at the boundary an id still in the window sits before them in the table.
+    """
+    cfg = WireConfig(k=1, n_init=1, payload_bytes=4)
+    core = wire.ReceiverCore(cfg, 0)
+    late = [ID_WINDOW - 4, ID_WINDOW - 3]
+    order = [sid for sid in range(ID_WINDOW) if sid not in late]
+    order += [ID_WINDOW, *late, *range(ID_WINDOW + 1, 2 * ID_WINDOW)]
+    for sid in order:
+        core.on_datagram(_CHUNK_HEADER.pack(CHUNK_MAGIC, WIRE_VERSION, sid, 0, 0, 1, 1, 4) + sid.to_bytes(4, "big"), 0)
+    assert len(core.table) == 2 * ID_WINDOW
+    core.on_tick(core.next_boundary)
+    assert sorted(core.table) == list(range(ID_WINDOW, 2 * ID_WINDOW))
+    assert core.log.decoded_samples == core.log.payload_ok == 2 * ID_WINDOW
 
 
 def test_receiver_never_decodes_a_pruned_sample_again():
