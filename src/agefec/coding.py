@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Chunk, CodingParams, CodingError, InsufficientChunksError, Sample
+from .core import CodingError, InsufficientChunksError
 
 _PRIMITIVE_POLY = 0x11D
 
@@ -151,30 +151,3 @@ def decode_payload(shares: dict[int, bytes], k: int, n: int, payload_len: int) -
         shares = {**shares, **{i: row.tobytes() for i, row in zip(missing, rows)}}
     return b"".join(shares[i] for i in range(k))[:payload_len]
 
-
-def encode_sample(sample: Sample, params: CodingParams) -> list[Chunk]:
-    """Erasure-code a sample into its n chunks."""
-    if len(sample.payload) != params.payload_bytes:
-        raise CodingError(
-            f"payload is {len(sample.payload)} bytes, expected {params.payload_bytes}"
-        )
-    pieces = encode_payload(sample.payload, params.k, params.n)
-    return [
-        Chunk(sample_id=sample.id, chunk_index=i, gen_time=sample.gen_time, payload=piece)
-        for i, piece in enumerate(pieces)
-    ]
-
-
-def decode_sample(chunks, params: CodingParams) -> bytes:
-    """Reconstruct a sample payload from k or more of its chunks."""
-    chunks = list(chunks)
-    if not chunks:
-        raise InsufficientChunksError("no chunks supplied")
-    ids = {c.sample_id for c in chunks}
-    if len(ids) != 1:
-        raise CodingError(f"chunks from different samples: {sorted(ids)}")
-    indices = [c.chunk_index for c in chunks]
-    if len(set(indices)) != len(indices):
-        raise CodingError("duplicate chunk indices supplied")
-    shares = {c.chunk_index: c.payload for c in chunks}
-    return decode_payload(shares, params.k, params.n, params.payload_bytes)

@@ -10,7 +10,7 @@ since the generation of the newest sample the receiver can decode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 SlotTime = int
@@ -48,15 +48,6 @@ class CodingParams:
         if self.sample_bits < 8 or self.sample_bits % 8:
             raise ParameterError(f"sample_bits must be a positive multiple of 8, got {self.sample_bits}")
 
-    @property
-    def payload_bytes(self) -> int:
-        return self.sample_bits // 8
-
-    @property
-    def chunk_bytes(self) -> int:
-        # padded so all k data chunks are equal length
-        return -(-self.payload_bytes // self.k)
-
 
 @dataclass(frozen=True)
 class LossModel:
@@ -74,32 +65,6 @@ class LossModel:
 def total_loss_probability(loss: LossModel) -> float:
     """End-to-end chunk loss probability: p_in + (1 - p_in) * p_out."""
     return loss.p_in + (1.0 - loss.p_in) * loss.p_out
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One source reading: identifier, generation slot, raw payload bytes."""
-
-    id: int
-    gen_time: SlotTime
-    payload: bytes
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """One coded fragment of a sample."""
-
-    sample_id: int
-    chunk_index: int
-    gen_time: SlotTime
-    payload: bytes = b""
-
-
-def is_decodable(missing_count: int, params: CodingParams) -> bool:
-    """True when a sample with `missing_count` lost chunks can still be decoded."""
-    if missing_count < 0 or missing_count > params.n:
-        raise ParameterError(f"missing_count must lie in [0, n], got {missing_count}")
-    return missing_count <= params.n - params.k
 
 
 class AgeTracker:
@@ -120,12 +85,7 @@ class AgeTracker:
         self.avt = avt
         self.initial_age = initial
         self._freshest = -initial  # virtual origin so age(0) == initial_age
-        self._decoded_any = False
         self._last_now = 0
-
-    @property
-    def freshest_decoded_gen(self) -> SlotTime | None:
-        return self._freshest if self._decoded_any else None
 
     def step(self, now: SlotTime, newly_decoded_gens=()) -> int:
         """Advance to slot `now`, fold in decode events and return the age."""
@@ -137,24 +97,9 @@ class AgeTracker:
                 raise ParameterError(f"decoded gen {gen} lies in the future of slot {now}")
             if gen > freshest:
                 freshest = gen
-                self._decoded_any = True
         self._freshest = freshest
         self._last_now = now
         return now - freshest
-
-
-def age_violation_rate(trace, avt: int, horizon: int) -> float:
-    """Fraction of slots 1..horizon whose age meets or exceeds the threshold.
-
-    `trace` is a sequence of (slot, age) pairs, one per AgeTracker.step.
-    """
-    if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    entries = [(t, a) for t, a in trace if 1 <= t <= horizon]
-    if not entries:
-        raise ParameterError("empty age trace")
-    violated = sum(1 for _, a in entries if a >= avt)
-    return violated / horizon
 
 
 class ReceiverChunkStore:
@@ -191,16 +136,6 @@ class ReceiverChunkStore:
             self.decoded.add(sample_id)
             return True
         return False
-
-    def received_count(self, sample_id: int) -> int:
-        return self._masks.get(sample_id, 0).bit_count()
-
-    def indices(self, sample_id: int) -> tuple[int, ...]:
-        mask = self._masks.get(sample_id, 0)
-        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-    def is_decoded(self, sample_id: int) -> bool:
-        return sample_id in self.decoded
 
 
 def serial_diff(a: int, b: int) -> int:

@@ -33,10 +33,6 @@ class SelectionPolicy:
         if any(p < 0.0 or p > 1.0 for p in self.probs):
             raise ParameterError(f"probabilities must lie in [0, 1]: {self.probs}")
 
-    @property
-    def expected_codewords(self) -> float:
-        return sum(self.probs)
-
 
 def optimal_selection_probs(rate: float, avt: int, m: int) -> SelectionPolicy:
     """Age-violation-minimizing selection vector for a codeword rate.

@@ -247,17 +247,6 @@ class FeedbackPacket:
         return cls(mi, rate, n, ts, av, pdr, delay)
 
 
-def decode_packet(buf: bytes):
-    """Dispatch on the magic; returns a ChunkPacket or FeedbackPacket."""
-    if len(buf) < 4:
-        raise TruncatedPacketError(f"datagram of {len(buf)} bytes has no magic")
-    if buf[:4] == CHUNK_MAGIC:
-        return ChunkPacket.decode(buf)
-    if buf[:4] == FEEDBACK_MAGIC:
-        return FeedbackPacket.decode(buf)
-    raise BadMagicError(f"unknown magic {buf[:4]!r}")
-
-
 def sample_payload(sample_id: int, nbytes: int) -> bytes:
     """Deterministic per-sample payload so any copy can verify a decode.
 

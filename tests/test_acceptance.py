@@ -41,9 +41,9 @@ from agefec.fixed_sampling import (
 )
 from agefec.netsim import run_fixed_rate_sim
 from agefec.wire import (
+    ChunkPacket,
     FeedbackPacket,
     WireConfig,
-    decode_packet,
     run_receiver,
     run_sender,
 )
@@ -515,7 +515,7 @@ def test_criterion_8_wire_loopback(capsys):
     sender_thread.start()
     try:
         data, sender_addr = fake_recv.recvfrom(65535)
-        decode_packet(data)
+        ChunkPacket.decode(data)
         fb = FeedbackPacket.from_values(1, 0.25, 4, 25, 0.0, 1.0, 2.0)
         fake_recv.sendto(fb.encode(), sender_addr)
         time.sleep(0.4)

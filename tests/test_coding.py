@@ -11,14 +11,12 @@ from _oracles import encode_reference
 from agefec import coding
 from agefec.coding import (
     decode_payload,
-    decode_sample,
     encode_payload,
-    encode_sample,
     gf_inv,
     gf_mul,
     pow_gf,
 )
-from agefec.core import Chunk, CodingParams, CodingError, InsufficientChunksError, Sample
+from agefec.core import CodingError, InsufficientChunksError
 
 
 def test_field_axioms_exhaustive():
@@ -112,24 +110,6 @@ def test_random_subset_roundtrip(k, extra, payload, data):
 def test_encode_is_deterministic():
     payload = bytes(range(64))
     assert encode_payload(payload, 4, 9) == encode_payload(payload, 4, 9)
-
-
-def test_sample_chunk_wrappers():
-    params = CodingParams(3, 5, sample_bits=240)  # 30-byte payload
-    sample = Sample(id=11, gen_time=7, payload=bytes(range(30)))
-    chunks = encode_sample(sample, params)
-    assert [c.chunk_index for c in chunks] == list(range(5))
-    assert all(c.sample_id == 11 and c.gen_time == 7 for c in chunks)
-    picked = [chunks[1], chunks[2], chunks[4]]
-    assert decode_sample(picked, params) == sample.payload
-
-
-def test_decode_sample_needs_k_chunks():
-    params = CodingParams(2, 3, sample_bits=64)
-    sample = Sample(id=1, gen_time=1, payload=bytes(8))
-    chunks = encode_sample(sample, params)
-    with pytest.raises(InsufficientChunksError):
-        decode_sample(chunks[:1], params)
 
 
 def _random_codes(rng, count):

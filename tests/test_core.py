@@ -10,17 +10,8 @@ from agefec.core import (
     LossModel,
     ParameterError,
     ReceiverChunkStore,
-    age_violation_rate,
-    is_decodable,
     total_loss_probability,
 )
-
-
-def test_coding_params_sizes():
-    p = CodingParams(3, 4, sample_bits=8192)
-    assert p.payload_bytes == 1024
-    assert p.chunk_bytes == 342  # ceil(1024 / 3)
-    assert CodingParams(4, 4, sample_bits=8192).chunk_bytes == 256
 
 
 @pytest.mark.parametrize(
@@ -47,20 +38,9 @@ def test_total_loss_probability():
     assert total_loss_probability(LossModel(0.0, 0.3)) == pytest.approx(0.3)
 
 
-def test_is_decodable():
-    p = CodingParams(3, 5)
-    assert is_decodable(0, p) and is_decodable(2, p)
-    assert not is_decodable(3, p)
-    with pytest.raises(ParameterError):
-        is_decodable(-1, p)
-    with pytest.raises(ParameterError):
-        is_decodable(6, p)
-
-
 def test_age_tracker_initial_age_defaults_to_threshold():
     tr = AgeTracker(avt=5)
     assert tr.initial_age == 5
-    assert tr.freshest_decoded_gen is None
     # No decodes: age is initial_age + now.
     assert tr.step(1) == 6
     assert tr.step(2) == 7
@@ -70,7 +50,6 @@ def test_age_tracker_decode_resets_age():
     tr = AgeTracker(avt=5, initial_age=0)
     assert tr.step(1) == 1
     assert tr.step(2, newly_decoded_gens=[1]) == 1  # age = 2 - 1
-    assert tr.freshest_decoded_gen == 1
     assert tr.step(3) == 2
     # A staler decode never rolls the age back.
     assert tr.step(4, newly_decoded_gens=[0]) == 3
@@ -88,17 +67,6 @@ def test_age_tracker_rejects_bad_steps():
         AgeTracker(avt=0)
     with pytest.raises(ParameterError):
         AgeTracker(avt=3, initial_age=-1)
-
-
-def test_age_violation_rate_counts_at_or_above():
-    trace = [(1, 2), (2, 3), (3, 4), (4, 1)]
-    # threshold 3: slots 2 and 3 violate (>= semantics)
-    assert age_violation_rate(trace, avt=3, horizon=4) == pytest.approx(0.5)
-    assert age_violation_rate(trace, avt=5, horizon=4) == 0.0
-    with pytest.raises(ParameterError):
-        age_violation_rate(trace, avt=3, horizon=0)
-    with pytest.raises(ParameterError):
-        age_violation_rate([], avt=3, horizon=4)
 
 
 @given(
@@ -125,11 +93,10 @@ def test_chunk_store_decode_on_kth_distinct():
     assert store.add(7, 0) is False
     assert store.add(7, 4) is False
     assert store.add(7, 2) is True  # third distinct index completes the set
-    assert store.is_decoded(7)
-    assert store.indices(7) == (0, 2, 4)
+    assert store.decoded == {7}
     # Extra chunks never re-trigger the decode signal.
     assert store.add(7, 1) is False
-    assert store.received_count(7) == 4
+    assert store.chunks_received == 4
     assert store.duplicates == 0
 
 

@@ -32,21 +32,21 @@ BRANCHES = {"1", "2", "3", "4a", "4b", "5a", "5b"}
 def test_selection_probs_fresh_first():
     policy = optimal_selection_probs(2.5, avt=5, m=8)
     assert policy.probs == (1.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0)
-    assert policy.expected_codewords == pytest.approx(2.5)
+    assert sum(policy.probs) == pytest.approx(2.5)
 
 
 def test_selection_probs_caps():
     # the threshold caps the sum
-    assert optimal_selection_probs(7.0, avt=5, m=8).expected_codewords == pytest.approx(5.0)
+    assert sum(optimal_selection_probs(7.0, avt=5, m=8).probs) == pytest.approx(5.0)
     # so does the sample memory
     assert optimal_selection_probs(7.0, avt=9, m=4).probs == (1.0, 1.0, 1.0, 1.0)
-    assert optimal_selection_probs(0.0, avt=5, m=4).expected_codewords == 0.0
+    assert sum(optimal_selection_probs(0.0, avt=5, m=4).probs) == 0.0
 
 
 @given(rate=st.floats(0.0, 12.0), avt=st.integers(1, 10), m=st.integers(1, 12))
 def test_selection_probs_sum_invariant(rate, avt, m):
     policy = optimal_selection_probs(rate, avt, m)
-    assert policy.expected_codewords == pytest.approx(min(rate, avt, m))
+    assert sum(policy.probs) == pytest.approx(min(rate, avt, m))
     # mass is front-loaded: probabilities never increase with age
     assert all(a >= b for a, b in zip(policy.probs, policy.probs[1:]))
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agefec import wire
-from agefec.adaptive_sampling import ADAPTIVE_COLUMNS
+from agefec.adaptive_sampling import ADAPTIVE_COLUMNS, monitoring_interval_length, restart_rate
 from agefec.cli import main
 from agefec.coding import decode_payload, encode_payload
 from agefec.core import ParameterError, serial_diff
@@ -29,6 +29,7 @@ from agefec.wire import (
     DELAY_INF_US,
     FEEDBACK_MAGIC,
     ID_WINDOW,
+    RTT_INIT,
     WIRE_VERSION,
     BadMagicError,
     ChunkPacket,
@@ -38,7 +39,6 @@ from agefec.wire import (
     VersionMismatchError,
     WireConfig,
     WireDecodeError,
-    decode_packet,
     run_receiver,
     run_sender,
     sample_payload,
@@ -139,17 +139,6 @@ def test_feedback_decode_errors():
         FeedbackPacket.decode(buf + b"\x00")
     with pytest.raises(BadMagicError):
         FeedbackPacket.decode(b"YYYY" + buf[4:])
-
-
-def test_decode_packet_dispatch():
-    chunk = make_chunk()
-    fb = FeedbackPacket.from_values(1, 1.0, 4, 4, 0.0, 1.0, 2.0)
-    assert decode_packet(chunk.encode()) == chunk
-    assert decode_packet(fb.encode()) == fb
-    with pytest.raises(TruncatedPacketError):
-        decode_packet(b"A3")
-    with pytest.raises(BadMagicError):
-        decode_packet(b"ZZZZ....")
 
 
 def test_sample_payload_deterministic():
@@ -354,7 +343,7 @@ def test_crafted_feedback_changes_sender_pacing():
     thread.start()
     try:
         data, sender_addr = fake_recv.recvfrom(65535)
-        assert isinstance(decode_packet(data), ChunkPacket)
+        ChunkPacket.decode(data)
         fb = FeedbackPacket.from_values(1, 0.25, 4, 25, 0.0, 1.0, 2.0)
         fake_recv.sendto(fb.encode(), sender_addr)
         # a few sample boundaries pass; the staged parameters swap in
@@ -378,40 +367,14 @@ def test_receiver_pdr_follows_the_n_packets_carry():
     With a fixed-rate sender the receiver's controller still moves its own n;
     the delivery ratio it reports must stay at the shim's pass ratio anyway.
     """
-    recv_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    recv_sock.bind(("127.0.0.1", 0))
-    stop = threading.Event()
-    samples = 2000
-    cfg = WireConfig(
-        dest=recv_sock.getsockname(),
-        k=8,
-        n_init=16,
-        avt_ms=40,
-        payload_bytes=64,
-        samples=samples,
-        fixed_rate=16.0,
-        drop_shim=0.1,
-        shim_seed=5,
-    )
-    result = {}
-
-    def recv_main():
-        result["log"] = run_receiver(cfg, stop=stop, sock=recv_sock, max_samples=samples)
-
-    thread = threading.Thread(target=recv_main)
-    thread.start()
-    try:
-        send_log = run_sender(cfg)
-        thread.join(timeout=10.0)
-    finally:
-        stop.set()
-        thread.join(timeout=2.0)
-        recv_sock.close()
-    assert not thread.is_alive()
+    cfg = WireConfig(k=8, n_init=16, avt_ms=40, payload_bytes=64, samples=2000,
+                     fixed_rate=16.0, drop_shim=0.1, shim_seed=5)
+    send_log, log, _span = virtual_link(cfg)
     pass_ratio = send_log.chunks_sent / (send_log.chunks_sent + send_log.shim_dropped)
-    rows = result["log"].rows
-    pdr_col = ADAPTIVE_COLUMNS.index("pdr")
+    rows = log.rows
+    pdr_col, n_col = ADAPTIVE_COLUMNS.index("pdr"), ADAPTIVE_COLUMNS.index("n")
     assert len(rows) >= 3
+    assert {row[n_col] for row in rows} - {cfg.n_init}  # the receiver's n moved
     for row in rows[1:]:
         assert abs(row[pdr_col] - pass_ratio) <= 0.05, (row, pass_ratio)
 
@@ -483,11 +446,12 @@ def feed(cfg, datagrams, until_us, start_us=1_000_000):
     return core.log
 
 
-def virtual_link(cfg, delay_us=2000, start_us=1_000_000):
+def virtual_link(cfg, delay_us=2000, start_us=1_000_000, lose_feedback=False):
     """Couple a SenderCore and a ReceiverCore on one virtual clock.
 
     Datagrams take `delay_us` each way, and the receiver mails feedback
-    once a chunk has reached it, as its loop does.  The clock jumps from
+    once a chunk has reached it, as its loop does; with `lose_feedback`
+    the link drops every feedback datagram.  The clock jumps from
     one event to the next until the sender is done and nothing is in
     flight.  Returns both logs and the virtual time spanned.
     """
@@ -502,7 +466,7 @@ def virtual_link(cfg, delay_us=2000, start_us=1_000_000):
         while to_receiver and to_receiver[0][0] <= clock:
             heard |= receiver.on_datagram(to_receiver.popleft()[1], clock)
         feedback = receiver.on_tick(clock)
-        if feedback is not None and heard:
+        if feedback is not None and heard and not lose_feedback:
             to_sender.append((clock + delay_us, feedback))
         while to_sender and to_sender[0][0] <= clock:
             sender.on_feedback(to_sender.popleft()[1], clock)
@@ -530,6 +494,23 @@ def test_virtual_link_adapts_and_delivers_without_wall_time():
     assert {row[2] for row in send_log.rows if row[4] == "apply"} - {cfg.n_init}
     # nothing sleeps: the run is CPU work only, far shorter than its span
     assert wall < span_us / 1e6 / 4, (wall, span_us)
+
+
+def test_sender_falls_back_to_the_restart_rate_without_feedback():
+    """With every feedback datagram lost, the sender restarts from the refill
+    rate once per five silent feedback periods, and at no other time."""
+    cfg = WireConfig(k=3, n_init=5, avt_ms=100, payload_bytes=30, samples=3000)
+    t_tilde_us = monitoring_interval_length(cfg.avt_slots, cfg.n_init) * cfg.slot_ms * 1000
+    assert t_tilde_us == 2_000_000
+    send_log, _log, span_us = virtual_link(cfg, lose_feedback=True)
+    assert send_log.samples_sent == 3000
+    assert send_log.feedback_applied == 0
+    assert send_log.fallbacks == span_us // (5 * t_tilde_us) >= 1
+    applied = [row for row in send_log.rows if row[4] == "apply"]
+    assert len(applied) == send_log.fallbacks
+    assert applied[0][0] >= 5 * t_tilde_us // 1000
+    assert applied[0][1] == restart_rate(cfg.n_init, RTT_INIT)
+    assert applied[0][2] == cfg.n_init
 
 
 def test_receiver_orders_sample_ids_across_the_wrap():
@@ -671,7 +652,8 @@ def test_receiver_checks_boundaries_between_queued_datagrams(monkeypatch):
 
 
 def test_chunk_from_a_neighbouring_sample_fails_the_payload_check():
-    """Sample 7 decodes from data chunks 0 and 2 and sample 8's chunk 1: payload_ok stays 0."""
+    """The sample with id 7 decodes from its data chunks 0 and 2 and from
+    sample 8's chunk 1: payload_ok stays 0."""
     cfg = WireConfig(k=3, n_init=5, avt_ms=20, payload_bytes=300)
     own = sample_chunks(7, 1_001_000, cfg, indices=(0, 2))
     neighbour = encode_payload(sample_payload(8, cfg.payload_bytes), cfg.k, cfg.n_init)[1]
