@@ -27,7 +27,7 @@ def main() -> None:
     for flow in range(2):
         print(
             f"  flow {flow}: rate {res.final_sigmas[flow]:.3f} chunks/slot, "
-            f"av={res.flow_av[flow]:.4f}, decoded {res.flow_decoded[flow]}"
+            f"av={res.system.flow_av[flow]:.4f}, decoded {res.system.flow_decoded[flow]}"
         )
     print(f"  fairness (Jain) final={res.fairness_final:.4f} mean={res.fairness_mean:.4f}")
 
@@ -36,7 +36,7 @@ def main() -> None:
     for flow, avt in enumerate((3, 8)):
         print(
             f"  flow {flow} (threshold {avt}): rate {res.final_sigmas[flow]:.3f}, "
-            f"av={res.flow_av[flow]:.4f}"
+            f"av={res.system.flow_av[flow]:.4f}"
         )
     total = sum(res.final_sigmas)
     print(f"  total allocated rate {total:.3f} chunks/slot")

@@ -19,7 +19,7 @@ from itertools import pairwise
 from .analysis import decode_probability, expected_violation_fraction
 from .core import ParameterError
 from .fixed_sampling import OMEGA, PHI, PSI
-from .netsim import FlowTotals, Interval, SimConfig, SimResult, run_slots
+from .netsim import Interval, SimConfig, SimResult, run_slots
 
 
 def round_half_up(x: float) -> int:
@@ -273,29 +273,6 @@ def process_interval(
     return new, branch
 
 
-class CodewordScheduler:
-    """Emission clock for one flow; a codeword is due every t_s slots."""
-
-    __slots__ = ("t_s", "next_send")
-
-    def __init__(self, t_s: int, start: int = 1) -> None:
-        self.t_s = t_s
-        self.next_send = start
-
-    def due(self, now: int) -> bool:
-        return now >= self.next_send
-
-    def mark_sent(self, now: int) -> None:
-        self.next_send = now + self.t_s
-
-    def set_interval(self, now: int, t_s: int) -> None:
-        # A shorter interval takes effect immediately, a longer one only
-        # stretches future gaps; pending emissions are never pushed back.
-        self.t_s = t_s
-        if self.next_send > now + t_s:
-            self.next_send = now + t_s
-
-
 ADAPTIVE_COLUMNS = (
     "mi",
     "sigma",
@@ -421,18 +398,21 @@ class _AdaptiveSender:
         )
         self.rows = self.controller.rows
         self.sigmas = [state.sigma / flow_count] * flow_count
-        self.scheds = [CodewordScheduler(sampling_interval(state.n, s)) for s in self.sigmas]
+        # Each flow's emission clock: a codeword is due every t_s[f] slots.
+        self.t_s = [sampling_interval(state.n, s) for s in self.sigmas]
+        self.next_send = [1] * flow_count
         self.ivl_sent = 0
         self.flow_rows: list[tuple] = []
 
     def emit(self, t: int) -> list[tuple]:
         n = self.controller.state.n
+        next_send = self.next_send
         out = []
-        for flow, sched in enumerate(self.scheds):
-            if sched.due(t):
+        for flow, due in enumerate(next_send):
+            if t >= due:
                 out.append((flow, 0, None, n, 1.0))
                 self.ivl_sent += n
-                sched.mark_sent(t)
+                next_send[flow] = t + self.t_s[flow]
         return out
 
     def boundary(self, t: int, interval: Interval) -> int:
@@ -456,10 +436,12 @@ class _AdaptiveSender:
             self.sigmas = list(
                 self.allocate(self.sigmas, ratios, state.sigma, old_total, controller.sigma_min)
             )
-        for idx, (sched, sig) in enumerate(zip(self.scheds, self.sigmas)):
-            t_s_i = sampling_interval(n, sig)
-            sched.set_interval(t, t_s_i)
-            if len(self.scheds) > 1:
+        for idx, sig in enumerate(self.sigmas):
+            t_s_i = self.t_s[idx] = sampling_interval(n, sig)
+            # A shorter interval pulls the next send in; a longer one only
+            # stretches later gaps and never delays a pending send.
+            self.next_send[idx] = min(self.next_send[idx], t + t_s_i)
+            if len(self.sigmas) > 1:
                 self.flow_rows.append(
                     (state.mi, idx, sig, t_s_i, raws[idx], ratios[idx], interval.flow_delivered[idx])
                 )
@@ -467,45 +449,73 @@ class _AdaptiveSender:
         return state.t_tilde
 
 
+def fairness_index(values) -> float:
+    """Jain's index: 1 for equal shares, 1/count for one flow taking all."""
+    values = list(values)
+    if not values:
+        return 1.0
+    square_sum = sum(v * v for v in values)
+    if square_sum <= 0:
+        return 1.0
+    total = sum(values)
+    return (total * total) / (len(values) * square_sum)
+
+
 @dataclass
 class FlowsOutcome:
-    """Everything the single- and multi-flow front ends need."""
+    """One adaptive run: the system result, the per-flow interval rows
+    (FLOW_COLUMNS, written for multi-flow runs only) and each flow's final rate."""
 
     system: SimResult
-    flows: FlowTotals
     flow_rows: list[tuple]
-    flow_sigmas: list[float]
+    final_sigmas: list[float]
+
+    @property
+    def fairness_final(self) -> float:
+        return fairness_index(self.final_sigmas)
+
+    @property
+    def fairness_mean(self) -> float:
+        """Jain's index of the flows' rates, averaged over intervals."""
+        by_interval: dict[int, list[float]] = {}
+        for row in self.flow_rows:
+            by_interval.setdefault(row[0], []).append(row[2])
+        per_interval = [fairness_index(v) for v in by_interval.values()]
+        return sum(per_interval) / len(per_interval) if per_interval else 1.0
+
+    def summary(self) -> dict:
+        system = self.system
+        out = system.summary()
+        out.update(
+            {
+                "fairness_final": self.fairness_final,
+                "fairness_mean": self.fairness_mean,
+                "flow_av": system.flow_av,
+                "flow_av_strict": system.flow_av_strict,
+                "flow_delivered": system.flow_delivered,
+                "flow_decoded": system.flow_decoded,
+                "final_sigmas": self.final_sigmas,
+            }
+        )
+        return out
 
 
-def run_adaptive_flows(
-    config: SimConfig,
-    flow_count: int = 1,
-    flow_avts=None,
-    allocate=None,
-) -> FlowsOutcome:
-    """Drive one or more adaptive flows through a shared bottleneck.
+def run_adaptive_flows(config: SimConfig, flow_avts=None, allocate=None) -> FlowsOutcome:
+    """Drive one adaptive flow per threshold in `flow_avts` through a shared bottleneck.
 
     One controller instance watches aggregate statistics and sets the total
-    rate; `allocate` then splits it across flows.  With flow_count == 1 and
-    no allocator the total is the flow's rate and this is the plain
-    single-flow simulation.
+    rate; `allocate` then splits it across flows.  With the default single
+    flow at config.avt and no allocator the total is the flow's rate and
+    this is the plain single-flow simulation.
     """
-    if flow_count < 1:
-        raise ParameterError(f"flow_count must be >= 1, got {flow_count}")
-    if flow_count > 1 and allocate is None:
+    flow_avts = (config.avt,) if flow_avts is None else tuple(flow_avts)
+    if not flow_avts or min(flow_avts) < 1:
+        raise ParameterError(f"need one or more per-flow thresholds >= 1, got {flow_avts}")
+    if len(flow_avts) > 1 and allocate is None:
         raise ParameterError("multiple flows need a rate allocator")
-    if flow_avts is None:
-        flow_avts = (config.avt,) * flow_count
-    flow_avts = tuple(flow_avts)
-    if len(flow_avts) != flow_count:
-        raise ParameterError(
-            f"expected {flow_count} per-flow thresholds, got {len(flow_avts)}"
-        )
-    if min(flow_avts) < 1:
-        raise ParameterError(f"per-flow thresholds must be >= 1, got {flow_avts}")
     sender = _AdaptiveSender(config, flow_avts, allocate)
-    system, flows = run_slots(config, sender, flow_avts)
-    return FlowsOutcome(system, flows, sender.flow_rows, list(sender.sigmas))
+    system = run_slots(config, sender, flow_avts)
+    return FlowsOutcome(system, sender.flow_rows, list(sender.sigmas))
 
 
 def run_sim(config: SimConfig) -> SimResult:

@@ -499,7 +499,7 @@ def _run_multiserver(spec: ExperimentSpec, label: str) -> dict:
         write_csv(
             os.path.join(spec.out_dir, f"{label}-run{run:02d}-flows.csv"),
             "flow-interval/1",
-            result.flow_columns,
+            adaptive_sampling.FLOW_COLUMNS,
             result.flow_rows,
         )
         per_run.append(summary)
@@ -529,8 +529,7 @@ def _interrupt_stops():
 
 def _endpoint_counters(log) -> dict:
     """A wire endpoint log's counters: its CSV summary line and its JSON aggregate."""
-    skip = ("rows", "schema", "columns")
-    return {f.name: getattr(log, f.name) for f in fields(log) if f.name not in skip}
+    return {f.name: getattr(log, f.name) for f in fields(log) if f.name != "rows"}
 
 
 def _run_wire_send(spec: ExperimentSpec, label: str) -> dict:
@@ -540,7 +539,7 @@ def _run_wire_send(spec: ExperimentSpec, label: str) -> dict:
         log = wire.run_sender(spec.wire_config(), stop=stop)
     counters = _endpoint_counters(log)
     path = spec.log_path or os.path.join(spec.out_dir, f"{label}-sender.csv")
-    write_csv(path, "wire-sender/1", ("ms", "sigma", "n", "ts_ms", "source"), log.rows, summary=counters)
+    write_csv(path, log.schema, log.columns, log.rows, summary=counters)
     return counters
 
 

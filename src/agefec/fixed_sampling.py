@@ -209,4 +209,4 @@ class _FixedSamplingSender:
 
 def run_sim(config: SimConfig) -> SimResult:
     """Simulate the fixed-sampling protocol over the bottleneck path."""
-    return run_slots(config, _FixedSamplingSender(config))[0]
+    return run_slots(config, _FixedSamplingSender(config))

@@ -8,11 +8,12 @@ decode state, and emission clocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .adaptive_sampling import FLOW_COLUMNS, FlowsOutcome, run_adaptive_flows
+from .adaptive_sampling import FlowsOutcome, run_adaptive_flows
 from .core import ParameterError
-from .netsim import SimConfig, SimResult
+from .netsim import SimConfig
+
+# How far allocate_rates blends each share toward the flow mean per interval.
+MIX = 0.05
 
 
 def raw_allocation(
@@ -53,7 +54,6 @@ def allocate_rates(
     sigma_total: float,
     sigma_total_old: float,
     sigma_min: float,
-    mix: float = 0.05,
 ):
     """Split sigma_total across flows with a per-flow floor.
 
@@ -62,7 +62,7 @@ def allocate_rates(
     proportion to each flow's raw excess above that floor.  The result sums
     to sigma_total up to rounding.
     """
-    raw = raw_allocation(sigmas, ratios, sigma_total, sigma_total_old, mix)
+    raw = raw_allocation(sigmas, ratios, sigma_total, sigma_total_old, MIX)
     count = len(raw)
     floor = sigma_min / count
     budget = sigma_total - floor * count
@@ -75,71 +75,12 @@ def allocate_rates(
     return [floor + e * (budget / total_excess) for e in excess]
 
 
-def fairness_index(values) -> float:
-    """Jain's index: 1 for equal shares, 1/count for one flow taking all."""
-    values = list(values)
-    if not values:
-        return 1.0
-    square_sum = sum(v * v for v in values)
-    if square_sum <= 0:
-        return 1.0
-    total = sum(values)
-    return (total * total) / (len(values) * square_sum)
-
-
-@dataclass
-class MultiflowResult:
-    """System view plus per-flow interval rows for several shared flows."""
-
-    system: SimResult
-    flow_columns: tuple[str, ...]
-    flow_rows: list[tuple]
-    flow_av: list[float]
-    flow_av_strict: list[float]
-    flow_delivered: list[int]
-    flow_decoded: list[int]
-    final_sigmas: list[float]
-    fairness_final: float
-    fairness_mean: float
-
-    def summary(self) -> dict:
-        out = self.system.summary()
-        out.update(
-            {
-                "fairness_final": self.fairness_final,
-                "fairness_mean": self.fairness_mean,
-                "flow_av": self.flow_av,
-                "flow_av_strict": self.flow_av_strict,
-                "flow_delivered": self.flow_delivered,
-                "flow_decoded": self.flow_decoded,
-                "final_sigmas": self.final_sigmas,
-            }
-        )
-        return out
-
-
-def run_sim(config: SimConfig, flow_count: int = 2, flow_avts=None) -> MultiflowResult:
+def run_sim(config: SimConfig, flow_count: int = 2, flow_avts=None) -> FlowsOutcome:
     """Simulate `flow_count` adaptive flows sharing the bottleneck."""
     if flow_count < 2:
         raise ParameterError(f"flow_count must be >= 2, got {flow_count}")
-    outcome: FlowsOutcome = run_adaptive_flows(
-        config, flow_count=flow_count, flow_avts=flow_avts, allocate=allocate_rates
-    )
-    by_interval: dict[int, list[float]] = {}
-    for row in outcome.flow_rows:
-        by_interval.setdefault(row[0], []).append(row[2])
-    per_interval = [fairness_index(v) for v in by_interval.values()]
-    return MultiflowResult(
-        system=outcome.system,
-        flow_columns=FLOW_COLUMNS,
-        flow_rows=outcome.flow_rows,
-        flow_av=outcome.flows.av,
-        flow_av_strict=outcome.flows.av_strict,
-        flow_delivered=outcome.flows.delivered,
-        flow_decoded=outcome.flows.decoded,
-        final_sigmas=outcome.flow_sigmas,
-        fairness_final=fairness_index(outcome.flow_sigmas),
-        fairness_mean=(
-            sum(per_interval) / len(per_interval) if per_interval else 1.0
-        ),
-    )
+    if flow_avts is None:
+        flow_avts = (config.avt,) * flow_count
+    elif len(flow_avts) != flow_count:
+        raise ParameterError(f"expected {flow_count} per-flow thresholds, got {len(flow_avts)}")
+    return run_adaptive_flows(config, flow_avts, allocate_rates)

@@ -181,8 +181,10 @@ class SimResult:
     """Outcome of one simulated run.
 
     `av` counts slots with age >= avt (the headline metric); `av_strict`
-    counts age > avt, matching the per-interval accounting.  Interval rows
-    and their column names feed the CSV writers unchanged.
+    counts age > avt, matching the per-interval accounting.  Both are flow
+    0's; the `flow_*` lists hold every flow's, indexed by flow, and stay out
+    of `summary()`.  Interval rows and their column names feed the CSV
+    writers unchanged.
     """
 
     schema: str
@@ -194,6 +196,10 @@ class SimResult:
     counts: dict[str, int]
     occupancy_max: int
     occupancy_mean: float
+    flow_av: list[float]
+    flow_av_strict: list[float]
+    flow_delivered: list[int]
+    flow_decoded: list[int]
 
     def summary(self) -> dict:
         out = {
@@ -229,22 +235,12 @@ class Interval:
         return self.delay_sum / self.delivered if self.delivered else math.inf
 
 
-@dataclass
-class FlowTotals:
-    """Per-flow results of one engine run, indexed by flow."""
-
-    av: list[float]
-    av_strict: list[float]
-    delivered: list[int]
-    decoded: list[int]
-
-
 def _slots_from(first: int, last: int, threshold: int) -> int:
     """How many slots in [first, last] lie at or after slot `threshold`."""
     return max(0, last - max(first, threshold) + 1)
 
 
-def run_slots(config: SimConfig, sender, flow_avts=None) -> tuple[SimResult, FlowTotals]:
+def run_slots(config: SimConfig, sender, flow_avts=None) -> SimResult:
     """Run `sender` over the bottleneck path for config.duration slots.
 
     The sender holds only its policy; the engine owns the path, the receiver
@@ -261,7 +257,7 @@ def run_slots(config: SimConfig, sender, flow_avts=None) -> tuple[SimResult, Flo
       interval is config.monitoring_interval slots long.
     - `schema`, `columns` and `rows` for the `SimResult`.
 
-    The returned result reports flow 0's violation rates.
+    The result's `av` and `av_strict` are flow 0's.
     """
     avts = [config.avt] if flow_avts is None else list(flow_avts)
     flow_count = len(avts)
@@ -392,12 +388,14 @@ def run_slots(config: SimConfig, sender, flow_avts=None) -> tuple[SimResult, Flo
 
     for f in range(flow_count):
         count_violations(f, duration)
-    result = SimResult(
+    flow_av = [v / duration for v in viol_ge]
+    flow_av_strict = [v / duration for v in viol_gt]
+    return SimResult(
         schema=sender.schema,
         columns=sender.columns,
         rows=sender.rows,
-        av=viol_ge[0] / duration,
-        av_strict=viol_gt[0] / duration,
+        av=flow_av[0],
+        av_strict=flow_av_strict[0],
         mean_delay=delay_sum / delivered if delivered else math.inf,
         counts={
             "injected": injected,
@@ -410,14 +408,11 @@ def run_slots(config: SimConfig, sender, flow_avts=None) -> tuple[SimResult, Flo
         },
         occupancy_max=occ_max,
         occupancy_mean=occ_sum / duration,
+        flow_av=flow_av,
+        flow_av_strict=flow_av_strict,
+        flow_delivered=flow_delivered,
+        flow_decoded=decoded,
     )
-    totals = FlowTotals(
-        av=[v / duration for v in viol_ge],
-        av_strict=[v / duration for v in viol_gt],
-        delivered=flow_delivered,
-        decoded=decoded,
-    )
-    return result, totals
 
 
 FIXED_RATE_COLUMNS = ("mi", "av_mi", "wbar_mi", "delivered")
@@ -462,4 +457,4 @@ def run_fixed_rate_sim(config: SimConfig, rate: float) -> SimResult:
     """
     if rate <= 0:
         raise ParameterError(f"rate must be > 0, got {rate}")
-    return run_slots(config, _FixedRateSender(config, rate))[0]
+    return run_slots(config, _FixedRateSender(config, rate))

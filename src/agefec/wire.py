@@ -25,6 +25,7 @@ from collections import deque
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 from .adaptive_sampling import (
     ADAPTIVE_COLUMNS,
@@ -288,7 +289,6 @@ class WireConfig:
     delay_shim_ms: float = 0.0  # synthetic egress latency
     relative_delay: bool = False  # subtract min observed delay (unsynced clocks)
     shim_seed: int = 0
-    log_path: str | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= self.n_init <= 255:
@@ -318,6 +318,9 @@ class WireConfig:
 
 @dataclass
 class SenderLog:
+    schema: ClassVar[str] = "wire-sender/1"
+    columns: ClassVar[tuple[str, ...]] = ("ms", "sigma", "n", "ts_ms", "source")
+
     samples_sent: int = 0
     chunks_sent: int = 0
     shim_dropped: int = 0
@@ -329,11 +332,14 @@ class SenderLog:
     final_sigma: float = 0.0
     final_n: int = 0
     final_ts_ms: int = 0
-    rows: list[tuple] = field(default_factory=list)  # (ms, sigma, n, ts_ms, source)
+    rows: list[tuple] = field(default_factory=list)
 
 
 @dataclass
 class ReceiverLog:
+    schema: ClassVar[str] = "adaptive-sampling-interval/1"
+    columns: ClassVar[tuple[str, ...]] = ADAPTIVE_COLUMNS
+
     chunks_received: int = 0
     duplicates: int = 0
     malformed: int = 0
@@ -343,8 +349,6 @@ class ReceiverLog:
     mean_delay_ms: float = math.inf
     min_delay_ms: float = math.inf
     max_sample_id: int = -1
-    schema: str = "adaptive-sampling-interval/1"
-    columns: tuple[str, ...] = ADAPTIVE_COLUMNS
     rows: list[tuple] = field(default_factory=list)
 
 

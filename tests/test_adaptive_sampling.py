@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agefec import adaptive_sampling
 from agefec.adaptive_sampling import (
     ADAPTIVE_COLUMNS,
     AdaptiveController,
     AdaptiveIntervalStats,
     AdaptiveSamplingState,
-    CodewordScheduler,
+    _AdaptiveSender,
     interval_age_violation,
     monitoring_interval_length,
     packet_delivery_ratio,
@@ -28,7 +29,7 @@ from agefec.adaptive_sampling import (
 )
 from agefec.analysis import decode_probability, expected_violation_fraction
 from agefec.core import CodingParams, LossModel, ParameterError
-from agefec.netsim import SimConfig
+from agefec.netsim import Interval, SimConfig
 
 from _oracles import slot_violation_count
 
@@ -363,17 +364,26 @@ def test_process_interval_totality_and_invariants(
         assert new.n == n
 
 
-def test_scheduler_pull_in_and_stretch():
-    sched = CodewordScheduler(t_s=10, start=1)
-    assert sched.due(1)
-    sched.mark_sent(1)
-    assert sched.next_send == 11
-    sched.set_interval(now=5, t_s=3)
-    assert sched.next_send == 8  # shorter interval pulls the next send in
-    sched.set_interval(now=5, t_s=20)
-    assert sched.next_send == 8  # longer one never delays a pending send
-    assert not sched.due(7)
-    assert sched.due(8)
+def test_scheduler_pull_in_and_stretch(monkeypatch):
+    def quiet(start):
+        return Interval(start, 0, 0, math.inf, [0], [[(-5, 0)]], [0])
+
+    def pace(t_s):
+        monkeypatch.setattr(adaptive_sampling, "sampling_interval", lambda n, sigma: t_s)
+
+    pace(10)
+    sender = _AdaptiveSender(adaptive_config(), (5,), None)
+    assert len(sender.emit(1)) == 1
+    assert sender.next_send == [11]
+    pace(3)
+    sender.boundary(5, quiet(0))
+    assert sender.next_send == [8]  # shorter interval pulls the next send in
+    pace(20)
+    sender.boundary(6, quiet(5))
+    assert sender.next_send == [8]  # longer one never delays a pending send
+    assert sender.emit(7) == []
+    assert len(sender.emit(8)) == 1
+    assert sender.next_send == [28]  # and stretches the gaps after it
 
 
 def adaptive_config(**kw):
@@ -416,7 +426,7 @@ def test_run_sim_settles_low_violation():
 def test_single_flow_engine_matches_plain_sim():
     cfg = adaptive_config(duration=5_000)
     plain = run_sim(cfg)
-    flows = run_adaptive_flows(cfg, flow_count=1)
+    flows = run_adaptive_flows(cfg)
     assert flows.system.rows == plain.rows
     assert flows.system.av == plain.av
     assert flows.flow_rows == []
@@ -425,8 +435,8 @@ def test_single_flow_engine_matches_plain_sim():
 def test_run_adaptive_flows_validation():
     cfg = adaptive_config(duration=1_000)
     with pytest.raises(ParameterError):
-        run_adaptive_flows(cfg, flow_count=0)
+        run_adaptive_flows(cfg, flow_avts=())
     with pytest.raises(ParameterError):
-        run_adaptive_flows(cfg, flow_count=2)  # no allocator
+        run_adaptive_flows(cfg, flow_avts=(5, 0))
     with pytest.raises(ParameterError):
-        run_adaptive_flows(cfg, flow_count=1, flow_avts=(5, 5))
+        run_adaptive_flows(cfg, flow_avts=(5, 5))  # no allocator

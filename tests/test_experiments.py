@@ -373,17 +373,24 @@ def test_wire_endpoints_write_their_counters_once(tmp_path):
     run_experiment(send)
     thread.join(timeout=20)
     assert not thread.is_alive()
-    for spec, csv_name, counters in (
-        (send, "wire-send-sender.csv", {"stale_skipped", "fallbacks", "socket_errors"}),
-        (recv, "wire-recv-receiver.csv", {"duplicates", "malformed"}),
+    for spec, csv_name, counters, head in (
+        (send, "wire-send-sender.csv", {"stale_skipped", "fallbacks", "socket_errors"},
+         ["# schema: wire-sender/1", "ms,sigma,n,ts_ms,source"]),
+        (recv, "wire-recv-receiver.csv", {"duplicates", "malformed"},
+         ["# schema: adaptive-sampling-interval/1",
+          "mi,sigma,n,t_s,t_tilde,av_raw,av_ratio,wbar_mi,pdr,ef,df,min_rtt,branch"]),
     ):
-        summary = read_csv(os.path.join(spec.out_dir, csv_name))[3]
+        path = os.path.join(spec.out_dir, csv_name)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read().splitlines()[:2] == head
+        summary = read_csv(path)[3]
         with open(os.path.join(spec.out_dir, f"{spec.label}.json"), encoding="utf-8") as fh:
             payload = json.load(fh)
         for key in ("experiment", "mode", "spec"):
             del payload[key]
         assert payload == summary
         assert counters <= payload.keys()
+        assert not {"schema", "columns"} & payload.keys()
     assert payload["decoded_samples"] == 10
 
 

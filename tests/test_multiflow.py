@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agefec.adaptive_sampling import FLOW_COLUMNS, fairness_index
 from agefec.core import CodingParams, LossModel, ParameterError
 from agefec.multiflow import (
     allocate_rates,
-    fairness_index,
     raw_allocation,
     run_sim,
 )
@@ -128,6 +128,19 @@ def test_run_sim_rejects_single_flow():
         run_sim(shared_config(), flow_count=1)
 
 
+def test_run_sim_rejects_threshold_count_mismatch():
+    with pytest.raises(ParameterError):
+        run_sim(shared_config(), flow_count=2, flow_avts=(5,))
+
+
+def test_run_shorter_than_first_interval_splits_evenly():
+    res = run_sim(shared_config(duration=50), flow_count=2)
+    assert res.flow_rows == []
+    assert res.fairness_mean == 1.0
+    assert res.final_sigmas[0] == res.final_sigmas[1] > 0
+    assert res.fairness_final == pytest.approx(1.0)
+
+
 def test_run_sim_is_deterministic():
     a = run_sim(shared_config(), flow_count=2)
     b = run_sim(shared_config(), flow_count=2)
@@ -138,13 +151,13 @@ def test_run_sim_is_deterministic():
 
 def test_run_sim_shapes_and_summary():
     res = run_sim(shared_config(), flow_count=2)
-    assert res.flow_columns == ("mi", "flow", "sigma", "t_s", "av_raw", "av_ratio", "delivered")
-    assert len(res.flow_av) == len(res.final_sigmas) == 2
+    assert FLOW_COLUMNS == ("mi", "flow", "sigma", "t_s", "av_raw", "av_ratio", "delivered")
+    assert len(res.system.flow_av) == len(res.final_sigmas) == 2
     assert {row[1] for row in res.flow_rows} == {0, 1}
     assert 0.5 <= res.fairness_final <= 1.0
     s = res.summary()
     assert s["fairness_final"] == res.fairness_final
-    assert s["flow_av"] == res.flow_av
+    assert s["flow_av"] == res.system.flow_av
 
 
 def test_identical_flows_converge():
@@ -168,4 +181,4 @@ def test_distinct_thresholds_share_unevenly_but_conserve():
         split = [r[2] for r in res.flow_rows if r[0] == mi]
         assert sum(split) == pytest.approx(sys_rows[mi], rel=1e-9)
     # the tight-threshold flow sees at least as many violations
-    assert res.flow_av[0] >= res.flow_av[1] - 0.01
+    assert res.system.flow_av[0] >= res.system.flow_av[1] - 0.01

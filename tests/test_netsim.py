@@ -237,7 +237,7 @@ def test_engine_matches_reference_models_under_random_traffic():
                 )
             script[t] = burst
         sender = ScriptedSender(script)
-        result, totals = run_slots(cfg, sender, flow_avts=(cfg.avt,) * flows)
+        result = run_slots(cfg, sender, flow_avts=(cfg.avt,) * flows)
 
         path = BottleneckPath(cfg)
         select = stream(cfg.rng_seed, "select").random
@@ -294,8 +294,8 @@ def test_engine_matches_reference_models_under_random_traffic():
         assert result.occupancy_mean == sum(occupancy) / cfg.duration
         for f in range(flows):
             assert [cfg.initial_age] + ages_from_decodes(sender.intervals, f, cfg.duration) == ages[f]
-        assert totals.delivered == delivered
-        assert totals.decoded == decoded
+        assert result.flow_delivered == delivered
+        assert result.flow_decoded == decoded
         assert path.injected > 0
 
 

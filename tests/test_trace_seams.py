@@ -4,8 +4,8 @@
 refactor renames one of them, or stops calling it through its module's
 globals, the benchmark's per-layer metrics silently read zero.  This test
 installs the tracer in a fresh interpreter (every traced name must resolve),
-runs a short adaptive simulation or a short loopback round, and checks that
-the seams recorded calls.  It only imports from `perfbench/`.
+runs a short adaptive simulation, a short multi-flow simulation or a short
+loopback round, and checks that the seams recorded calls.  It only imports from `perfbench/`.
 """
 
 import json
@@ -33,6 +33,15 @@ from agefec import experiments
 
 spec = experiments.build_spec(
     overrides={"mode": "vsvb-sim", "duration": 3000, "out_dir": sys.argv[2]}
+)
+experiments.run_experiment(spec)
+"""
+
+MULTISERVER = """
+from agefec import experiments
+
+spec = experiments.build_spec(
+    overrides={"mode": "multiserver", "duration": 3000, "out_dir": sys.argv[2]}
 )
 experiments.run_experiment(spec)
 """
@@ -79,6 +88,12 @@ def test_tracer_sees_the_adaptive_controller(tmp_path):
     calls = traced_calls(tmp_path, SIM)
     assert calls.get("adaptive_sampling.process_interval", 0) > 0
     assert calls.get("adaptive_sampling.interval_age_violation", 0) > 0
+
+
+def test_tracer_sees_the_multiflow_run(tmp_path):
+    calls = traced_calls(tmp_path, MULTISERVER)
+    for name in ("multiflow.run_sim", "multiflow.allocate_rates", "adaptive_sampling.run_adaptive_flows"):
+        assert calls.get(name, 0) > 0, name
 
 
 def test_tracer_sees_the_wire_and_its_codec(tmp_path):
