@@ -295,11 +295,9 @@ FLOW_COLUMNS = ("mi", "flow", "sigma", "t_s", "av_raw", "av_ratio", "delivered")
 class AdaptiveController:
     """The A³L-FEC feedback step, shared by the simulator and the UDP receiver.
 
-    Each monitoring interval (start, end] is scored from the flows' decode
-    logs, fed to `process_interval`, and logged as one ADAPTIVE_COLUMNS row.
-    A decode log is the last refreshing decode (one of a strictly newer
-    generation than any before) ahead of the interval followed by the
-    interval's own, each a (generation, decode slot) pair.
+    Each `Interval` (start, end] that either receiver measured is scored
+    from its flows' decode logs, fed to `process_interval`, and logged as one
+    ADAPTIVE_COLUMNS row.
     """
 
     state: AdaptiveSamplingState
@@ -310,20 +308,21 @@ class AdaptiveController:
     candidates: tuple[int, ...] | None = None
     rows: list[tuple] = field(default_factory=list)
 
-    def step(self, start, end, decodes, avts, delivered, mean_delay, min_delay, sent):
-        """Run one interval; returns the raw violation counts, ratios and stats.
+    def step(self, interval: Interval, end: int, avts):
+        """Score `interval`, which ends at slot `end`: raw violation counts, ratios, stats.
 
-        `decodes` and `avts` hold one decode log and one threshold per flow;
-        the controller acts on the worst flow's ratio and on the pooled
-        delivered and sent chunk counts and delays.
+        `avts` holds one threshold per flow of `interval.decodes`; the
+        controller acts on the worst flow's ratio and on the pooled chunk
+        counts and delays.
         """
-        raws = [interval_age_violation(log, start, avt) for log, avt in zip(decodes, avts)]
+        start = interval.start
+        raws = [interval_age_violation(log, start, avt) for log, avt in zip(interval.decodes, avts)]
         ratios = [max(0.0, raw) / (end - start) for raw in raws]
         stats = AdaptiveIntervalStats(
             av_ratio=max(ratios),
-            wbar_mi=mean_delay,
-            pdr=packet_delivery_ratio(delivered, sent),
-            min_delay=min_delay,
+            wbar_mi=interval.mean_delay,
+            pdr=packet_delivery_ratio(interval.delivered, interval.sent),
+            min_delay=interval.min_delay,
         )
         state, branch = process_interval(
             self.state,
@@ -401,7 +400,6 @@ class _AdaptiveSender:
         # Each flow's emission clock: a codeword is due every t_s[f] slots.
         self.t_s = [sampling_interval(state.n, s) for s in self.sigmas]
         self.next_send = [1] * flow_count
-        self.ivl_sent = 0
         self.flow_rows: list[tuple] = []
 
     def emit(self, t: int) -> list[tuple]:
@@ -411,23 +409,13 @@ class _AdaptiveSender:
         for flow, due in enumerate(next_send):
             if t >= due:
                 out.append((flow, 0, None, n, 1.0))
-                self.ivl_sent += n
                 next_send[flow] = t + self.t_s[flow]
         return out
 
     def boundary(self, t: int, interval: Interval) -> int:
         controller = self.controller
         old_total = controller.state.sigma
-        raws, ratios, _stats = controller.step(
-            interval.start,
-            t,
-            interval.decodes,
-            self.flow_avts,
-            interval.delivered,
-            interval.mean_delay,
-            interval.min_delay,
-            self.ivl_sent,
-        )
+        raws, ratios, _stats = controller.step(interval, t, self.flow_avts)
         state = controller.state
         n = state.n
         if self.allocate is None:
@@ -445,7 +433,6 @@ class _AdaptiveSender:
                 self.flow_rows.append(
                     (state.mi, idx, sig, t_s_i, raws[idx], ratios[idx], interval.flow_delivered[idx])
                 )
-        self.ivl_sent = 0
         return state.t_tilde
 
 
@@ -514,7 +501,7 @@ def run_adaptive_flows(config: SimConfig, flow_avts=None, allocate=None) -> Flow
     if len(flow_avts) > 1 and allocate is None:
         raise ParameterError("multiple flows need a rate allocator")
     sender = _AdaptiveSender(config, flow_avts, allocate)
-    system = run_slots(config, sender, flow_avts)
+    system = run_slots(config, sender)
     return FlowsOutcome(system, sender.flow_rows, list(sender.sigmas))
 
 

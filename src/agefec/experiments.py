@@ -361,10 +361,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         aggregate = _run_bounds(spec, label)
     elif spec.mode == "multiserver":
         aggregate = _run_multiserver(spec, label)
-    elif spec.mode == "wire-send":
-        aggregate = _run_wire_send(spec, label)
-    elif spec.mode == "wire-recv":
-        aggregate = _run_wire_recv(spec, label)
+    elif spec.mode in ("wire-send", "wire-recv"):
+        aggregate = _run_wire(spec, label)
     else:  # pragma: no cover - mode validated in __post_init__
         raise ConfigError(f"unhandled mode {spec.mode!r}")
     aggregate.update(experiment=label, mode=spec.mode, spec=_spec_record(spec))
@@ -410,37 +408,24 @@ SWEEP_COLUMNS = ("n", "run", "seed", "av", "av_strict", "mean_delay")
 
 
 def _run_sweep(spec: ExperimentSpec, label: str) -> dict:
-    rows = []
-    by_n: dict[int, list[tuple[float, float]]] = {}
+    rows, points = [], []
     for n in spec.sweep_n:
+        point = replace(spec, n=n)
+        point_rows = []
         for run in range(spec.runs):
             seed = spec.seed_base + run
-            config = replace(
-                spec.sim_config(seed), coding=CodingParams(spec.k, n, spec.sample_bits)
-            )
-            result = fixed_sampling.run_sim(config)
-            rows.append((n, run, seed, result.av, result.av_strict, result.mean_delay))
-            by_n.setdefault(n, []).append((result.av, result.av_strict))
+            result = fixed_sampling.run_sim(point.sim_config(seed))
+            point_rows.append((n, run, seed, result.av, result.av_strict, result.mean_delay))
+        rows += point_rows
+        mean_av, std_av = _mean_std(r[3] for r in point_rows)
+        mean_strict, _ = _mean_std(r[4] for r in point_rows)
+        points.append({"n": n, "mean_av": mean_av, "std_av": std_av, "mean_av_strict": mean_strict})
     write_csv(
         os.path.join(spec.out_dir, f"{label}-sweep.csv"),
         "coding-sweep/1",
         SWEEP_COLUMNS,
         rows,
     )
-    points = []
-    for n in spec.sweep_n:
-        avs = [a for a, _ in by_n[n]]
-        stricts = [s for _, s in by_n[n]]
-        mean_av, std_av = _mean_std(avs)
-        mean_strict, _ = _mean_std(stricts)
-        points.append(
-            {
-                "n": n,
-                "mean_av": mean_av,
-                "std_av": std_av,
-                "mean_av_strict": mean_strict,
-            }
-        )
     return {"points": points}
 
 
@@ -532,23 +517,16 @@ def _endpoint_counters(log) -> dict:
     return {f.name: getattr(log, f.name) for f in fields(log) if f.name != "rows"}
 
 
-def _run_wire_send(spec: ExperimentSpec, label: str) -> dict:
+def _run_wire(spec: ExperimentSpec, label: str) -> dict:
     from . import wire
 
     with _interrupt_stops() as stop:
-        log = wire.run_sender(spec.wire_config(), stop=stop)
+        if spec.mode == "wire-send":
+            log, role = wire.run_sender(spec.wire_config(), stop=stop), "sender"
+        else:
+            log = wire.run_receiver(spec.wire_config(), stop=stop, max_samples=spec.samples)
+            role = "receiver"
     counters = _endpoint_counters(log)
-    path = spec.log_path or os.path.join(spec.out_dir, f"{label}-sender.csv")
-    write_csv(path, log.schema, log.columns, log.rows, summary=counters)
-    return counters
-
-
-def _run_wire_recv(spec: ExperimentSpec, label: str) -> dict:
-    from . import wire
-
-    with _interrupt_stops() as stop:
-        log = wire.run_receiver(spec.wire_config(), stop=stop, max_samples=spec.samples)
-    counters = _endpoint_counters(log)
-    path = spec.log_path or os.path.join(spec.out_dir, f"{label}-receiver.csv")
+    path = spec.log_path or os.path.join(spec.out_dir, f"{label}-{role}.csv")
     write_csv(path, log.schema, log.columns, log.rows, summary=counters)
     return counters

@@ -173,6 +173,7 @@ class _FixedSamplingSender:
     def __init__(self, config: SimConfig) -> None:
         self.n = config.coding.n
         self.avt = config.avt
+        self.flow_avts = (config.avt,)
         self.t_tilde = config.monitoring_interval
         self.m = config.sample_memory if config.sample_memory is not None else config.avt
         self.state = FixedSamplingState.initial(self.n, self.avt, config.initial_rate)

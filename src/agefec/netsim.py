@@ -215,20 +215,23 @@ class SimResult:
 
 @dataclass
 class Interval:
-    """What the receiver measured over one monitoring interval (start, end].
+    """What a receiver measured over one monitoring interval (start, end].
 
     Per-flow lists are indexed by flow.  `decodes[f]` is flow f's decode log:
-    the last refreshing decode before the interval, as a (generation, slot)
-    pair, followed by this interval's refreshing decodes.
+    the last refreshing decode (of a newer generation than any before it)
+    ahead of the interval, as a (generation, slot) pair, followed by this
+    interval's refreshing decodes.  The last two fields only the simulator
+    knows; the wire receiver leaves them None.
     """
 
     start: int
-    delivered: int
-    delay_sum: int
-    min_delay: float  # an int delay, or inf when nothing arrived
-    viol_gt: list[int]  # slots with age > avt
     decodes: list[list[tuple[int, int]]]
-    flow_delivered: list[int]
+    delivered: int = 0
+    delay_sum: float = 0  # slots
+    min_delay: float = math.inf  # slots, inf when nothing arrived
+    sent: int = 0  # chunks offered to the path
+    viol_gt: list[int] | None = None  # slots with age > avt
+    flow_delivered: list[int] | None = None
 
     @property
     def mean_delay(self) -> float:
@@ -240,7 +243,7 @@ def _slots_from(first: int, last: int, threshold: int) -> int:
     return max(0, last - max(first, threshold) + 1)
 
 
-def run_slots(config: SimConfig, sender, flow_avts=None) -> SimResult:
+def run_slots(config: SimConfig, sender) -> SimResult:
     """Run `sender` over the bottleneck path for config.duration slots.
 
     The sender holds only its policy; the engine owns the path, the receiver
@@ -255,11 +258,12 @@ def run_slots(config: SimConfig, sender, flow_avts=None) -> SimResult:
     - `boundary(t, interval)`: called at the end of each monitoring interval
       with an `Interval`; returns the length of the next interval.  The first
       interval is config.monitoring_interval slots long.
+    - `flow_avts`: one age threshold per flow.
     - `schema`, `columns` and `rows` for the `SimResult`.
 
     The result's `av` and `av_strict` are flow 0's.
     """
-    avts = [config.avt] if flow_avts is None else list(flow_avts)
+    avts = sender.flow_avts
     flow_count = len(avts)
     k = config.coding.k
     duration = config.duration
@@ -298,7 +302,7 @@ def run_slots(config: SimConfig, sender, flow_avts=None) -> SimResult:
     viol_gt = [0] * flow_count
     start = 0  # slots up to here are counted
     min_delay = math.inf
-    mark_delivered = mark_delay = 0
+    mark_delivered = mark_delay = mark_injected = 0
     mark_viol = [0] * flow_count
     mark_flow = [0] * flow_count
 
@@ -336,17 +340,18 @@ def run_slots(config: SimConfig, sender, flow_avts=None) -> SimResult:
                 count_violations(f, t)
             interval = Interval(
                 start=start,
+                decodes=decodes,
                 delivered=delivered - mark_delivered,
                 delay_sum=delay_sum - mark_delay,
                 min_delay=min_delay,
+                sent=injected - mark_injected,
                 viol_gt=[v - m for v, m in zip(viol_gt, mark_viol)],
-                decodes=decodes,
                 flow_delivered=[d - m for d, m in zip(flow_delivered, mark_flow)],
             )
             decodes = [[log[-1]] for log in decodes]
             next_boundary = t + sender.boundary(t, interval)
             start = t
-            mark_delivered, mark_delay = delivered, delay_sum
+            mark_delivered, mark_delay, mark_injected = delivered, delay_sum, injected
             mark_viol, mark_flow = viol_gt[:], flow_delivered[:]
             min_delay = math.inf
 
@@ -425,6 +430,7 @@ class _FixedRateSender:
     columns = FIXED_RATE_COLUMNS
 
     def __init__(self, config: SimConfig, rate: float) -> None:
+        self.flow_avts = (config.avt,)
         self.rate = rate
         self.n = config.coding.n
         self.t_tilde = config.monitoring_interval

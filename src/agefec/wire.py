@@ -37,6 +37,7 @@ from .adaptive_sampling import (
 )
 from .coding import decode_payload, encode_payload
 from .core import CodingError, ParameterError, serial_diff
+from .netsim import Interval
 
 WIRE_VERSION = 1
 CHUNK_MAGIC = b"A3LF"
@@ -462,8 +463,9 @@ class SenderCore:
 class ReceiverCore:
     """The receiver's protocol without I/O: chunk bookkeeping, decodes, intervals.
 
-    Each interval goes through the `AdaptiveController.step` the simulator
-    runs, with microseconds bucketed into slots.  One table keyed by sample
+    Each interval is counted in the `Interval` record the slot engine fills,
+    with microseconds bucketed into slots, and goes through the
+    `AdaptiveController.step` the simulator runs.  One table keyed by sample
     id holds the chunk indices seen and, until the sample decodes, their
     payloads.  Ids are ordered as 32-bit serial numbers.
     """
@@ -478,35 +480,23 @@ class ReceiverCore:
         self.log = ReceiverLog(rows=self.controller.rows)
         # sample id -> [bit mask of chunk indices seen, {index: payload}, or None once decoded]
         self.table: dict[int, list] = {}
-        # Refreshing decodes as (generation slot, decode slot), seeded with a
-        # virtual decode that puts the age at the threshold when the run starts.
-        self.decodes = [(-avt, 0)]
-        self.mi_start_slot = 0
+        # The decode log starts with a virtual decode that puts the age at
+        # the threshold when the run starts.
+        self.interval = Interval(0, [[(-avt, 0)]])
         self.next_boundary = start_us + init.t_tilde * self.slot_us
         self.total_delay = 0.0
-        self.ivl_delivered, self.ivl_sent, self.ivl_delay_sum, self.ivl_min_delay = 0, 0, 0.0, math.inf
 
     def on_tick(self, now: int) -> bytes | None:
         """End the interval if `now` reached its boundary; returns the feedback datagram."""
         if now < self.next_boundary:
             return None
-        slot_ms, delivered = self.config.slot_ms, self.ivl_delivered
+        slot_ms, interval = self.config.slot_ms, self.interval
         boundary_slot = (now - self.start) // self.slot_us
-        _raws, _ratios, stats = self.controller.step(
-            self.mi_start_slot,
-            self.mi_start_slot + max(1, boundary_slot - self.mi_start_slot),
-            [self.decodes],
-            (self.avt,),
-            delivered,
-            (self.ivl_delay_sum / delivered) / slot_ms if delivered else math.inf,
-            self.ivl_min_delay / slot_ms,
-            self.ivl_sent,
-        )
+        end = interval.start + max(1, boundary_slot - interval.start)
+        _raws, _ratios, stats = self.controller.step(interval, end, (self.avt,))
         state = self.controller.state
-        self.decodes = [self.decodes[-1]]
-        self.mi_start_slot = boundary_slot
+        self.interval = Interval(boundary_slot, [interval.decodes[0][-1:]])
         self.next_boundary = now + state.t_tilde * self.slot_us
-        self.ivl_delivered, self.ivl_sent, self.ivl_delay_sum, self.ivl_min_delay = 0, 0, 0.0, math.inf
         self._prune()
         delay_ms = stats.wbar_mi * slot_ms if math.isfinite(stats.wbar_mi) else math.inf
         return FeedbackPacket.from_values(
@@ -550,21 +540,23 @@ class ReceiverCore:
                 return True
             entry[0] |= 1 << idx
         log.chunks_received += 1
+        interval = self.interval
         if ahead > 0:
             # Sent estimate: serial ids are dense, so a newer id accounts for
             # every sample since the previous newest (the first id for itself
             # alone), at the n it carries.
-            self.ivl_sent += ahead * pkt.n
+            interval.sent += ahead * pkt.n
             log.max_sample_id = sid
         delay_ms = max(0.0, (now - pkt.gen_timestamp_us) / 1000.0)
         if delay_ms < log.min_delay_ms:
             log.min_delay_ms = delay_ms
         if self.config.relative_delay:
             delay_ms -= log.min_delay_ms
-        self.ivl_delivered += 1
-        self.ivl_delay_sum += delay_ms
-        if delay_ms < self.ivl_min_delay:
-            self.ivl_min_delay = delay_ms
+        delay = delay_ms / self.config.slot_ms
+        interval.delivered += 1
+        interval.delay_sum += delay
+        if delay < interval.min_delay:
+            interval.min_delay = delay
         self.total_delay += delay_ms
         log.mean_delay_ms = self.total_delay / log.chunks_received
         parts = entry and entry[1]
@@ -580,8 +572,9 @@ class ReceiverCore:
             if decode_payload(parts, k, pkt.n, nbytes) == sample_payload(sid, nbytes):
                 log.payload_ok += 1
         gen_slot = (pkt.gen_timestamp_us - self.start) // self.slot_us
-        if gen_slot > self.decodes[-1][0]:
-            self.decodes.append((gen_slot, (now - self.start) // self.slot_us))
+        decodes = interval.decodes[0]
+        if gen_slot > decodes[-1][0]:
+            decodes.append((gen_slot, (now - self.start) // self.slot_us))
         return True
 
 

@@ -188,7 +188,8 @@ def test_controller_step_acts_on_the_worst_flow():
     controller = AdaptiveController(state, k=3, avt=5)
     # Both flows start at their thresholds; flow 1 refreshes later than flow 0.
     decodes = [[(-5, 0), (8, 10)], [(-8, 0), (15, 18)]]
-    raws, ratios, got = controller.step(0, 20, decodes, (5, 8), 9, 2.0, 1.0, 12)
+    interval = Interval(0, decodes, delivered=9, delay_sum=18, min_delay=1.0, sent=12)
+    raws, ratios, got = controller.step(interval, 20, (5, 8))
     assert raws == [interval_age_violation(decodes[0], 0, 5), interval_age_violation(decodes[1], 0, 8)]
     assert ratios == [0.5, 0.9]
     assert got == AdaptiveIntervalStats(av_ratio=ratios[1], wbar_mi=2.0, pdr=0.75, min_delay=1.0)
@@ -366,7 +367,7 @@ def test_process_interval_totality_and_invariants(
 
 def test_scheduler_pull_in_and_stretch(monkeypatch):
     def quiet(start):
-        return Interval(start, 0, 0, math.inf, [0], [[(-5, 0)]], [0])
+        return Interval(start, [[(-5, 0)]], viol_gt=[0], flow_delivered=[0])
 
     def pace(t_s):
         monkeypatch.setattr(adaptive_sampling, "sampling_interval", lambda n, sigma: t_s)

@@ -186,8 +186,9 @@ class ScriptedSender:
     schema = "scripted/1"
     columns = ()
 
-    def __init__(self, script):
+    def __init__(self, script, flow_avts):
         self.script = script
+        self.flow_avts = flow_avts
         self.rows = []
         self.intervals = []
 
@@ -204,11 +205,13 @@ def test_engine_matches_reference_models_under_random_traffic():
 
     The reference replays the engine's traffic chunk by chunk on the same
     seed, including its selection draws from the "select" stream, and every
-    per-slot Interval, age and counter must match.
+    per-slot Interval, age and counter must match.  Flows have distinct
+    thresholds, so each flow's violation fractions are checked against its own.
     """
     rng = random.Random(11)
     for trial in range(30):
         flows = rng.choice((1, 2, 3))
+        avts = tuple(rng.sample(range(1, 7), flows))
         k = rng.randrange(1, 3)
         cfg = SimConfig(
             coding=CodingParams(k, 3),
@@ -220,7 +223,7 @@ def test_engine_matches_reference_models_under_random_traffic():
             duration=rng.randrange(50, 200),
             monitoring_interval=1,
             rng_seed=trial,
-            initial_age=rng.randrange(0, 4),
+            initial_age=rng.choice((None, 0, 1, 2, 3)),
         )
         # Half the trials send fresh codewords with serial ids, half resend
         # recent samples by generation slot, which produces duplicates.
@@ -236,17 +239,20 @@ def test_engine_matches_reference_models_under_random_traffic():
                      rng.randrange(1, 4), rng.choice((1.0, 0.5)))
                 )
             script[t] = burst
-        sender = ScriptedSender(script)
-        result = run_slots(cfg, sender, flow_avts=(cfg.avt,) * flows)
+        sender = ScriptedSender(script, avts)
+        result = run_slots(cfg, sender)
 
         path = BottleneckPath(cfg)
         select = stream(cfg.rng_seed, "select").random
         stores = [ReceiverChunkStore(k) for _ in range(flows)]
-        trackers = [AgeTracker(cfg.avt, cfg.initial_age) for _ in range(flows)]
-        freshest = [-cfg.initial_age] * flows
+        trackers = [AgeTracker(avt, cfg.initial_age) for avt in avts]
+        freshest = [-tracker.initial_age for tracker in trackers]
         delivered, decoded = [0] * flows, [0] * flows
-        ages, occupancy = [[cfg.initial_age] for _ in range(flows)], []
+        ages, occupancy = [[tracker.initial_age] for tracker in trackers], []
+        injected = 0
         for t, interval in enumerate(sender.intervals, start=1):
+            assert interval.sent == path.injected - injected
+            injected = path.injected
             arrivals = path.deliveries_at(t)
             assert interval.delivered == len(arrivals)
             assert interval.delay_sum == sum(delay for _, delay in arrivals)
@@ -292,8 +298,10 @@ def test_engine_matches_reference_models_under_random_traffic():
         }
         assert result.occupancy_max == max(occupancy)
         assert result.occupancy_mean == sum(occupancy) / cfg.duration
-        for f in range(flows):
-            assert [cfg.initial_age] + ages_from_decodes(sender.intervals, f, cfg.duration) == ages[f]
+        for f, avt in enumerate(avts):
+            assert ages[f][:1] + ages_from_decodes(sender.intervals, f, cfg.duration) == ages[f]
+            assert result.flow_av[f] == sum(a >= avt for a in ages[f][1:]) / cfg.duration
+            assert result.flow_av_strict[f] == sum(a > avt for a in ages[f][1:]) / cfg.duration
         assert result.flow_delivered == delivered
         assert result.flow_decoded == decoded
         assert path.injected > 0

@@ -496,6 +496,26 @@ def test_virtual_link_adapts_and_delivers_without_wall_time():
     assert wall < span_us / 1e6 / 4, (wall, span_us)
 
 
+def test_receiver_measures_delay_in_slots_of_slot_ms(monkeypatch):
+    """At 8 ms per slot a lossless 24 ms link reads 3 slots of mean delay in
+    every interval, and each feedback datagram carries the 24000 us back."""
+    feedback = []
+    on_feedback = wire.SenderCore.on_feedback
+
+    def recording(self, buf, now):
+        feedback.append(FeedbackPacket.decode(buf))
+        on_feedback(self, buf, now)
+
+    monkeypatch.setattr(wire.SenderCore, "on_feedback", recording)
+    cfg = WireConfig(k=3, n_init=5, slot_ms=8, payload_bytes=30, samples=500)
+    send_log, log, _span = virtual_link(cfg, delay_us=24_000)
+    assert send_log.samples_sent == 500 and log.decoded_samples == log.payload_ok == 500
+    wbar_col = ADAPTIVE_COLUMNS.index("wbar_mi")
+    assert len(log.rows) >= 3
+    assert [row[wbar_col] for row in log.rows] == [3.0] * len(log.rows)
+    assert feedback and {fb.mean_delay_us for fb in feedback} == {24_000}
+
+
 def test_sender_falls_back_to_the_restart_rate_without_feedback():
     """With every feedback datagram lost, the sender restarts from the refill
     rate once per five silent feedback periods, and at no other time."""
