@@ -89,13 +89,13 @@ def select_block_length(
     Candidate redundancy levels are scored with a renewal model fed by the
     interval's measured chunk-loss rate and mean delay.  With no delivery
     evidence (pdr <= 0) the current choice stands.  Ties go to the shortest
-    block.
+    block.  The default candidates run from k to 3k, capped at 255.
     """
     if pdr <= 0.0:
         return current_n
     loss = 1.0 - pdr
     if candidates is None:
-        candidates = range(k, 3 * k + 1)
+        candidates = range(k, min(3 * k, 255) + 1)
     best_n = current_n
     best_f = math.inf
     for n_c in candidates:

@@ -5,9 +5,10 @@ decode log, runs the adaptive controller, and mails the resulting rate, block
 length, and sampling interval to the sender, which applies them at the next
 sample boundary.  One slot is one millisecond unless configured otherwise.
 
-Each endpoint is a core without I/O (`SenderCore`, `ReceiverCore`) that
-takes datagrams and times and returns datagrams and wake-up times, behind a
-thin loop that reads the clock, waits in `select` and moves the bytes.  Loss
+Each endpoint is a core without I/O (`SenderCore`, `ReceiverCore`) with one
+shape: `poll(now)` returns the datagrams to send and the next wake-up time,
+and `on_datagram(buf, now)` takes one datagram.  One loop, `_serve`, reads
+the clock, waits in `select` and moves the bytes for both.  Loss
 and extra latency for tests come from a shim inside the sender's core, so
 loopback runs exercise the full protocol without touching the network stack.
 """
@@ -175,15 +176,6 @@ class FeedbackPacket:
     av_ratio_milli: int
     pdr_milli: int
     mean_delay_us: int  # all-ones sentinel means nothing arrived
-
-    def __post_init__(self) -> None:
-        _check_u(self.mi_index, 32, "mi_index")
-        _check_u(self.rate_milli, 32, "rate_milli")
-        _check_u(self.new_n, 8, "new_n")
-        _check_u(self.new_ts_ms, 32, "new_ts_ms")
-        _check_u(self.av_ratio_milli, 16, "av_ratio_milli")
-        _check_u(self.pdr_milli, 16, "pdr_milli")
-        _check_u(self.mean_delay_us, 64, "mean_delay_us")
 
     @classmethod
     def from_values(
@@ -358,10 +350,9 @@ class SenderCore:
 
     Times are integer microseconds and never go back.  The shim drops each
     chunk with one draw from its own seeded stream and holds the rest for a
-    fixed delay.  Staged
-    parameters, from feedback or the missing-feedback fallback, swap in at
-    the next sample boundary; the log's final_sigma, final_n and final_ts_ms
-    hold the ones in force.
+    fixed delay.  Staged parameters, from feedback or the missing-feedback
+    fallback, swap in at the next sample boundary; the log's final_sigma,
+    final_n and final_ts_ms hold the ones in force.
     """
 
     def __init__(self, config: WireConfig, start_us: int) -> None:
@@ -442,22 +433,23 @@ class SenderCore:
             self.next_sample = now + log.final_ts_ms * 1000
         self.done = cfg.samples > 0 and log.samples_sent >= cfg.samples
 
-    def on_feedback(self, buf: bytes, now: int) -> None:
-        """Stage the parameters a feedback datagram commands; count a bad one."""
+    def on_datagram(self, buf: bytes, now: int) -> bool:
+        """Stage the parameters a feedback datagram commands; False for a bad one."""
         if self.done:  # nothing is left to pace
-            return
+            return False
         try:
             fb = FeedbackPacket.decode(buf)
         except WireDecodeError:
             fb = None
         if fb is None or fb.new_n < self.config.k:  # the field caps n at 255
             self.log.malformed += 1
-            return
+            return False
         self.last_feedback = now
         if self.config.fixed_rate is None:
             self.pending = (fb.sigma, fb.new_n, fb.new_ts_ms)
             self.log.feedback_applied += 1
             self.log.rows.append(((now - self.start) // 1000, *self.pending, "feedback"))
+        return True
 
 
 class ReceiverCore:
@@ -467,11 +459,13 @@ class ReceiverCore:
     with microseconds bucketed into slots, and goes through the
     `AdaptiveController.step` the simulator runs.  One table keyed by sample
     id holds the chunk indices seen and, until the sample decodes, their
-    payloads.  Ids are ordered as 32-bit serial numbers.
+    payloads.  Ids are ordered as 32-bit serial numbers.  With max_samples >
+    0 the core is done once that many distinct samples have decoded.
     """
 
-    def __init__(self, config: WireConfig, start_us: int) -> None:
+    def __init__(self, config: WireConfig, start_us: int, max_samples: int = 0) -> None:
         self.config = config
+        self.max_samples = max_samples
         self.avt = avt = config.avt_slots
         self.slot_us = config.slot_ms * 1000
         self.start = start_us
@@ -486,10 +480,13 @@ class ReceiverCore:
         self.next_boundary = start_us + init.t_tilde * self.slot_us
         self.total_delay = 0.0
 
-    def on_tick(self, now: int) -> bytes | None:
-        """End the interval if `now` reached its boundary; returns the feedback datagram."""
+    def poll(self, now: int) -> tuple[list[bytes], int | None]:
+        """The feedback datagram of an interval that ended by `now`, if one did,
+        and the next boundary (None once done)."""
+        if self.max_samples and self.log.decoded_samples >= self.max_samples:
+            return [], None
         if now < self.next_boundary:
-            return None
+            return [], self.next_boundary
         slot_ms, interval = self.config.slot_ms, self.interval
         boundary_slot = (now - self.start) // self.slot_us
         end = interval.start + max(1, boundary_slot - interval.start)
@@ -499,10 +496,10 @@ class ReceiverCore:
         self.next_boundary = now + state.t_tilde * self.slot_us
         self._prune()
         delay_ms = stats.wbar_mi * slot_ms if math.isfinite(stats.wbar_mi) else math.inf
-        return FeedbackPacket.from_values(
-            state.mi & 0xFFFFFFFF, state.sigma, state.n, state.t_s * slot_ms,
-            stats.av_ratio, stats.pdr, delay_ms,
+        feedback = FeedbackPacket.from_values(
+            state.mi, state.sigma, state.n, state.t_s * slot_ms, stats.av_ratio, stats.pdr, delay_ms
         ).encode()
+        return [feedback], self.next_boundary
 
     def _prune(self) -> None:
         # Ids mostly arrive in order, so the oldest lead the insertion order and
@@ -578,6 +575,47 @@ class ReceiverCore:
         return True
 
 
+def _serve(
+    core: SenderCore | ReceiverCore, sock: socket.socket, stop: threading.Event | None, dest=None
+) -> tuple[int, int]:
+    """Drive `core` on `sock` until it is done or `stop` is set.
+
+    Datagrams the core releases go to `dest`, or without one to the source
+    of the last datagram the core accepted (and nowhere before that).  Once
+    `select` reports the socket readable, the loop reads it until empty, one
+    datagram per pass, so wake times and `stop` are still checked between
+    any two datagrams.  Returns the sends the socket accepted and refused.
+    """
+    sock.setblocking(False)
+    to, sent, refused = dest, 0, 0
+    ready = False  # the last read found a datagram, so more may be queued
+    while not (stop is not None and stop.is_set()):
+        datagrams, wake = core.poll(now_us())
+        for data in datagrams if to is not None else ():
+            try:
+                sock.sendto(data, to)
+                sent += 1
+            except OSError:
+                refused += 1
+        if wake is None:
+            break
+        if not ready:
+            # Encoding took time: wait from now, not from the poll's clock
+            # read, or a late sender sleeps a whole slot after every sample.
+            wait_us = max(0, min(wake - now_us(), 20_000))
+            if not select.select([sock], [], [], wait_us / 1e6)[0]:
+                continue
+        try:
+            data, source = sock.recvfrom(65535)
+        except OSError:  # BlockingIOError once the socket is empty
+            ready = False
+            continue
+        ready = True
+        if core.on_datagram(data, now_us()) and dest is None:
+            to = source
+    return sent, refused
+
+
 def run_sender(
     config: WireConfig,
     stop: threading.Event | None = None,
@@ -585,9 +623,8 @@ def run_sender(
 ) -> SenderLog:
     """Pace samples to the destination, applying feedback as it arrives.
 
-    A thin loop around `SenderCore` that reads the clock, sends, and waits
-    in `select` for feedback.  `chunks_sent` counts the datagrams the socket
-    accepted and `socket_errors` those it refused.
+    `SenderCore` behind `_serve`.  `chunks_sent` counts the datagrams the
+    socket accepted and `socket_errors` those it refused.
     """
     if config.dest is None:
         raise ParameterError("sender needs a destination address")
@@ -596,30 +633,9 @@ def run_sender(
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.bind(("0.0.0.0", 0))
     with sock if own_sock else nullcontext():
-        sock.setblocking(False)
         core = SenderCore(config, now_us())
-        log = core.log
-        while not (stop is not None and stop.is_set()):
-            datagrams, wake = core.poll(now_us())
-            for data in datagrams:
-                try:
-                    sock.sendto(data, config.dest)
-                    log.chunks_sent += 1
-                except OSError:
-                    log.socket_errors += 1
-            if wake is None:
-                break
-            # Encoding took time: wait from now, not from the poll's clock
-            # read, or a late sender sleeps a whole slot after every sample.
-            wait_us = max(0, min(wake - now_us(), 20_000))
-            if select.select([sock], [], [], wait_us / 1e6)[0]:
-                try:
-                    data, _addr = sock.recvfrom(65535)
-                except OSError:
-                    log.socket_errors += 1
-                    continue
-                core.on_feedback(data, now_us())
-    return log
+        core.log.chunks_sent, core.log.socket_errors = _serve(core, sock, stop, config.dest)
+    return core.log
 
 
 def run_receiver(
@@ -630,13 +646,10 @@ def run_receiver(
 ) -> ReceiverLog:
     """Collect chunks, decode, score intervals, and mail feedback.
 
-    A thin loop around `ReceiverCore` that reads the clock, receives, and
-    sends each feedback datagram to where the last chunk came from.  With
-    max_samples > 0 it ends once that many distinct samples have decoded
-    (test hook).  A socket it opens itself asks for `RCVBUF_BYTES` of
-    receive buffer.  Once `select` reports the socket readable, the loop
-    reads it until empty, one datagram per pass, so interval boundaries and
-    `stop` are still checked between any two datagrams.
+    `ReceiverCore` behind `_serve`, which sends each feedback datagram to
+    where the last chunk came from.  With max_samples > 0 it ends once that
+    many distinct samples have decoded (test hook).  A socket it opens
+    itself asks for `RCVBUF_BYTES` of receive buffer.
     """
     own_sock = sock is None
     if own_sock:
@@ -646,29 +659,6 @@ def run_receiver(
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RCVBUF_BYTES)
         sock.bind(config.listen)
     with sock if own_sock else nullcontext():
-        sock.setblocking(False)
-        core = ReceiverCore(config, now_us())
-        log = core.log
-        sender = None
-        ready = False  # the last read found a datagram, so more may be queued
-        while not (stop is not None and stop.is_set()):
-            feedback = core.on_tick(now_us())
-            if feedback is not None and sender is not None:
-                with suppress(OSError):
-                    sock.sendto(feedback, sender)
-                    log.feedback_sent += 1
-            if not ready:
-                wait_us = max(0, min(core.next_boundary - now_us(), 20_000))
-                if not select.select([sock], [], [], wait_us / 1e6)[0]:
-                    continue
-            try:
-                data, addr = sock.recvfrom(65535)
-            except OSError:  # BlockingIOError once the socket is empty
-                ready = False
-                continue
-            ready = True
-            if core.on_datagram(data, now_us()):
-                sender = addr
-            if max_samples and log.decoded_samples >= max_samples:
-                break
-    return log
+        core = ReceiverCore(config, now_us(), max_samples)
+        core.log.feedback_sent, _refused = _serve(core, sock, stop)
+    return core.log

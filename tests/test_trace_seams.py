@@ -109,7 +109,8 @@ def test_tracer_sees_the_multiflow_run(tmp_path):
 
 def test_tracer_sees_the_wire_and_its_codec(tmp_path):
     calls = traced_calls(tmp_path, LOOPBACK)
-    for name in ("wire.ChunkPacket.decode", "wire.sample_payload", "coding.encode_payload"):
+    for name in ("wire.run_sender", "wire.run_receiver", "wire.ChunkPacket.decode",
+                 "wire.sample_payload", "coding.encode_payload"):
         assert calls.get(name, 0) > 0, name
     # the tracer files decode_payload calls under .systematic or .parity
     assert sum(c for name, c in calls.items() if name.startswith("coding.decode_payload")) > 0

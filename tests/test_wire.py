@@ -19,7 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agefec import wire
-from agefec.adaptive_sampling import ADAPTIVE_COLUMNS, monitoring_interval_length, restart_rate
+from agefec.adaptive_sampling import (
+    ADAPTIVE_COLUMNS,
+    monitoring_interval_length,
+    restart_rate,
+    select_block_length,
+)
 from agefec.cli import main
 from agefec.coding import decode_payload, encode_payload
 from agefec.core import ParameterError, serial_diff
@@ -433,46 +438,49 @@ def sample_chunks(sid, at_us, cfg, n=None, indices=None):
 def feed(cfg, datagrams, until_us, start_us=1_000_000):
     """Run a ReceiverCore over (time, datagram) pairs until `until_us`.
 
-    The core ticks at each interval boundary before the next datagram, as
-    the receiver's loop wakes for it; a datagram due at a boundary is read
-    before the tick.
+    The core is polled at each interval boundary before the next datagram,
+    as the receiver's loop wakes for it; a datagram due at a boundary is read
+    before the poll.
     """
     core = wire.ReceiverCore(cfg, start_us)
     for at, data in [*sorted(datagrams, key=lambda d: d[0]), (until_us, None)]:
         while core.next_boundary < at:
-            core.on_tick(core.next_boundary)
+            core.poll(core.next_boundary)
         if data is not None:
             core.on_datagram(data, at)
     return core.log
 
 
-def virtual_link(cfg, delay_us=2000, start_us=1_000_000, lose_feedback=False):
+def virtual_link(cfg, delay_us=2000, start_us=1_000_000, keep_feedback=lambda i: True):
     """Couple a SenderCore and a ReceiverCore on one virtual clock.
 
     Datagrams take `delay_us` each way, and the receiver mails feedback
-    once a chunk has reached it, as its loop does; with `lose_feedback`
-    the link drops every feedback datagram.  The clock jumps from
-    one event to the next until the sender is done and nothing is in
-    flight.  Returns both logs and the virtual time spanned.
+    once a chunk has reached it, as its loop does; the link keeps the i-th
+    feedback datagram mailed (from 0) when `keep_feedback(i)` is true and
+    drops it otherwise.  The clock jumps from one event to the next until
+    the sender is done and nothing is in flight.  Returns both logs and the
+    virtual time spanned.
     """
     clock = start_us
     sender, receiver = wire.SenderCore(cfg, clock), wire.ReceiverCore(cfg, clock)
     to_receiver, to_sender = deque(), deque()  # (arrival, datagram); a fixed delay keeps them in order
-    heard = False
+    heard, mailed = False, 0
     while True:
         datagrams, wake = sender.poll(clock)
         sender.log.chunks_sent += len(datagrams)  # the link takes every datagram
         to_receiver.extend((clock + delay_us, data) for data in datagrams)
         while to_receiver and to_receiver[0][0] <= clock:
             heard |= receiver.on_datagram(to_receiver.popleft()[1], clock)
-        feedback = receiver.on_tick(clock)
-        if feedback is not None and heard and not lose_feedback:
-            to_sender.append((clock + delay_us, feedback))
+        feedback, boundary = receiver.poll(clock)
+        for data in feedback if heard else ():
+            if keep_feedback(mailed):
+                to_sender.append((clock + delay_us, data))
+            mailed += 1
         while to_sender and to_sender[0][0] <= clock:
-            sender.on_feedback(to_sender.popleft()[1], clock)
+            sender.on_datagram(to_sender.popleft()[1], clock)
         if wake is None and not to_receiver:
             return sender.log, receiver.log, clock - start_us
-        events = [receiver.next_boundary] + [q[0][0] for q in (to_receiver, to_sender) if q]
+        events = [boundary] + [q[0][0] for q in (to_receiver, to_sender) if q]
         clock = min(events if wake is None else [wake, *events])
 
 
@@ -500,13 +508,13 @@ def test_receiver_measures_delay_in_slots_of_slot_ms(monkeypatch):
     """At 8 ms per slot a lossless 24 ms link reads 3 slots of mean delay in
     every interval, and each feedback datagram carries the 24000 us back."""
     feedback = []
-    on_feedback = wire.SenderCore.on_feedback
+    on_datagram = wire.SenderCore.on_datagram
 
     def recording(self, buf, now):
         feedback.append(FeedbackPacket.decode(buf))
-        on_feedback(self, buf, now)
+        return on_datagram(self, buf, now)
 
-    monkeypatch.setattr(wire.SenderCore, "on_feedback", recording)
+    monkeypatch.setattr(wire.SenderCore, "on_datagram", recording)
     cfg = WireConfig(k=3, n_init=5, slot_ms=8, payload_bytes=30, samples=500)
     send_log, log, _span = virtual_link(cfg, delay_us=24_000)
     assert send_log.samples_sent == 500 and log.decoded_samples == log.payload_ok == 500
@@ -522,7 +530,7 @@ def test_sender_falls_back_to_the_restart_rate_without_feedback():
     cfg = WireConfig(k=3, n_init=5, avt_ms=100, payload_bytes=30, samples=3000)
     t_tilde_us = monitoring_interval_length(cfg.avt_slots, cfg.n_init) * cfg.slot_ms * 1000
     assert t_tilde_us == 2_000_000
-    send_log, _log, span_us = virtual_link(cfg, lose_feedback=True)
+    send_log, _log, span_us = virtual_link(cfg, keep_feedback=lambda i: False)
     assert send_log.samples_sent == 3000
     assert send_log.feedback_applied == 0
     assert send_log.fallbacks == span_us // (5 * t_tilde_us) >= 1
@@ -531,6 +539,33 @@ def test_sender_falls_back_to_the_restart_rate_without_feedback():
     assert applied[0][0] >= 5 * t_tilde_us // 1000
     assert applied[0][1] == restart_rate(cfg.n_init, RTT_INIT)
     assert applied[0][2] == cfg.n_init
+
+
+def test_sender_applies_every_feedback_datagram_that_arrives():
+    """With every other feedback datagram lost, the sender applies each one
+    that arrives and never falls back to the restart rate."""
+    cfg = WireConfig(avt_ms=20, payload_bytes=30, samples=6000, drop_shim=0.1, shim_seed=2)
+    fates = []
+
+    def every_other(i):
+        fates.append(i % 2 == 0)
+        return fates[-1]
+
+    send_log, _log, _span = virtual_link(cfg, keep_feedback=every_other)
+    assert send_log.samples_sent == 6000
+    assert sum(fates) < len(fates)
+    assert send_log.feedback_applied == sum(fates) > 0
+    assert send_log.fallbacks == 0
+
+
+def test_block_length_candidates_stay_within_a_byte_at_large_k():
+    """From k = 86 on, 3k passes 255; the candidates stop at 255, and a
+    receiver with k = 90 ends an interval in which a sample decoded."""
+    assert select_block_length(86, 100, 2.0, 0.9, 2.0, 100) <= 255
+    cfg = WireConfig(k=90, n_init=100, avt_ms=20, payload_bytes=900)
+    log = feed(cfg, sample_chunks(0, 1_001_000, cfg), until_us=1_030_000)
+    assert log.decoded_samples == log.payload_ok == 1
+    assert len(log.rows) == 1
 
 
 def test_receiver_orders_sample_ids_across_the_wrap():
@@ -579,7 +614,7 @@ def test_chunk_store_stays_within_the_window_over_a_million_ids():
     for i in range(1_000_000):
         sid, now = (first + i) & 0xFFFFFFFF, i * 1000
         if core.next_boundary <= now:
-            core.on_tick(now)
+            core.poll(now)
             held.append(len(core.table))
         if i % 10_000 == 5_000:
             late[i + 500] = sid
@@ -592,7 +627,7 @@ def test_chunk_store_stays_within_the_window_over_a_million_ids():
         if i % 10_000 == 0 and i > ID_WINDOW:
             core.on_datagram(chunk((sid - ID_WINDOW - 10) & 0xFFFFFFFF, 1), now)
             stale += 1
-    core.on_tick(core.next_boundary)
+    core.poll(core.next_boundary)
     log = core.log
     assert len(held) > 100 and max(held) <= ID_WINDOW
     assert log.decoded_samples == log.payload_ok == 1000
@@ -616,7 +651,7 @@ def test_chunk_store_prune_drops_late_stragglers():
     for sid in order:
         core.on_datagram(_CHUNK_HEADER.pack(CHUNK_MAGIC, WIRE_VERSION, sid, 0, 0, 1, 1, 4) + sid.to_bytes(4, "big"), 0)
     assert len(core.table) == 2 * ID_WINDOW
-    core.on_tick(core.next_boundary)
+    core.poll(core.next_boundary)
     assert sorted(core.table) == list(range(ID_WINDOW, 2 * ID_WINDOW))
     assert core.log.decoded_samples == core.log.payload_ok == 2 * ID_WINDOW
 
