@@ -369,6 +369,7 @@ class _AdaptiveSender:
         flow_count = len(flow_avts)
         k, n0, avt = config.coding.k, config.coding.n, config.avt
         self.flow_avts = flow_avts
+        self.horizon = 0
         self.allocate = allocate
         rtt_init = (
             config.rtt_init if config.rtt_init is not None else 2.0 * config.propagation_delay

@@ -176,6 +176,7 @@ class _FixedSamplingSender:
         self.flow_avts = (config.avt,)
         self.t_tilde = config.monitoring_interval
         self.m = config.sample_memory if config.sample_memory is not None else config.avt
+        self.horizon = self.m - 1  # the policy window's oldest sample
         self.state = FixedSamplingState.initial(self.n, self.avt, config.initial_rate)
         self.rows: list[tuple] = []
         self._retune()

@@ -11,6 +11,11 @@ the receiver's decode masks and the age accounting in local variables.
 Within a slot it follows a fixed event order: (1) receiver processing of this
 slot's deliveries and the age step, (2) the sender's boundary hook when a
 monitoring interval completes, (3) the sender's emissions, (4) queue service.
+No chunk of generation g arrives after slot g + reach, where reach is the
+sender's `horizon` (its oldest codeword age) plus ceil(buffer_capacity / q_s)
+plus the path latency plus one.  At interval boundaries the engine drops the
+decode masks past that slot, so the masks it holds are bounded by the reach
+and the interval length, not by the run length.
 `BottleneckPath`, `ReceiverChunkStore` and `AgeTracker` are the reference
 models of what the engine inlines.
 """
@@ -21,6 +26,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .core import (
     CodingParams,
@@ -200,6 +206,7 @@ class SimResult:
     flow_av_strict: list[float]
     flow_delivered: list[int]
     flow_decoded: list[int]
+    masks_held_max: int
 
     def summary(self) -> dict:
         out = {
@@ -259,7 +266,20 @@ def run_slots(config: SimConfig, sender) -> SimResult:
       with an `Interval`; returns the length of the next interval.  The first
       interval is config.monitoring_interval slots long.
     - `flow_avts`: one age threshold per flow.
+    - `horizon`: the largest `age` it ever emits.
     - `schema`, `columns` and `rows` for the `SimResult`.
+
+    A chunk leaves at most `horizon` slots after its sample's generation gen,
+    is served within ceil(buffer_capacity / q_s) slots counting the one it
+    leaves in, and arrives `latency` = 1 + propagation_delay slots later.  So
+    none arrives after slot gen + horizon + ceil(buffer_capacity / q_s) +
+    latency + 1, a bound with two slots of margin, one of them for rounding
+    in the service credit.  Masks are dropped at interval boundaries in
+    buckets, one per interval: a bucket holds the masks first created in
+    its interval and is tagged with the interval's closing slot, which is at
+    or after each of their generations, so samples with serial ids are
+    covered too.  A dropped mask could never change again, so no count
+    moves.  `masks_held_max` is the most masks held at once.
 
     The result's `av` and `av_strict` are flow 0's.
     """
@@ -275,6 +295,7 @@ def run_slots(config: SimConfig, sender) -> SimResult:
     draw_out = stream(config.rng_seed, "loss-out").random
     draw_select = stream(config.rng_seed, "select").random
     emit = sender.emit
+    reach = sender.horizon + math.ceil(capacity / q_s) + latency + 1
 
     # Path: queue entries are (mask key, chunk bit, gen, flow, enqueue slot);
     # the pipe holds one (delivery slot, entries) batch per serving slot.
@@ -286,7 +307,11 @@ def run_slots(config: SimConfig, sender) -> SimResult:
     injected = lost_in = dropped_buffer = lost_out = delivered = 0
     occ_sum = occ_max = 0
     # Receiver: one decode mask per (flow, sample), keyed sample * flow_count + flow.
+    # Keys sit in the dict in creation order, so the buckets, (closing slot,
+    # mask count) pairs oldest first, cover a prefix of it.
     masks: dict[int, int] = {}
+    buckets: deque = deque()
+    held = held_max = 0  # masks held after the last drop; most held at once
     initial = [a if config.initial_age is None else config.initial_age for a in avts]
     fresh = [-a for a in initial]  # virtual origin so age(0) == initial age
     # Refreshing decodes as (gen, slot): the last one before the interval,
@@ -354,6 +379,15 @@ def run_slots(config: SimConfig, sender) -> SimResult:
             mark_delivered, mark_delay, mark_injected = delivered, delay_sum, injected
             mark_viol, mark_flow = viol_gt[:], flow_delivered[:]
             min_delay = math.inf
+            # Close this interval's bucket and drop the buckets past reach.
+            held_max = max(held_max, len(masks))
+            buckets.append((t, len(masks) - held))
+            expired = 0
+            while buckets[0][0] + reach < t:
+                expired += buckets.popleft()[1]
+            for key in list(islice(masks, expired)):
+                del masks[key]
+            held = len(masks)
 
         for f, age, sample, n, p in emit(t):
             gen = t - age
@@ -417,6 +451,7 @@ def run_slots(config: SimConfig, sender) -> SimResult:
         flow_av_strict=flow_av_strict,
         flow_delivered=flow_delivered,
         flow_decoded=decoded,
+        masks_held_max=max(held_max, len(masks)),
     )
 
 
@@ -431,6 +466,7 @@ class _FixedRateSender:
 
     def __init__(self, config: SimConfig, rate: float) -> None:
         self.flow_avts = (config.avt,)
+        self.horizon = 0
         self.rate = rate
         self.n = config.coding.n
         self.t_tilde = config.monitoring_interval

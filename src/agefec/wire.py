@@ -319,6 +319,7 @@ class SenderLog:
     shim_dropped: int = 0
     stale_skipped: int = 0
     feedback_applied: int = 0
+    stale_feedback: int = 0  # feedback no newer than the last applied
     malformed: int = 0  # feedback that failed to parse or commanded n < k
     fallbacks: int = 0
     socket_errors: int = 0
@@ -362,6 +363,7 @@ class SenderCore:
         self.sample_id = 0
         self.done = False
         self.pending: tuple[float, int, int] | None = None  # (sigma, n, ts_ms)
+        self.last_applied: int | None = None  # mi_index of the newest feedback applied
         self.rng = random.Random(f"{config.shim_seed}/shim")
         self.delay_us = int(config.delay_shim_ms * 1000)
         self.queue: deque[tuple[int, bytes]] = deque()  # (due, datagram), due times ascending
@@ -434,7 +436,11 @@ class SenderCore:
         self.done = cfg.samples > 0 and log.samples_sent >= cfg.samples
 
     def on_datagram(self, buf: bytes, now: int) -> bool:
-        """Stage the parameters a feedback datagram commands; False for a bad one."""
+        """Stage the parameters a feedback datagram commands; False for a bad one.
+
+        Feedback applies only when its interval is newer, as a serial number,
+        than the last applied; older or repeated feedback is counted as stale.
+        """
         if self.done:  # nothing is left to pace
             return False
         try:
@@ -446,6 +452,11 @@ class SenderCore:
             return False
         self.last_feedback = now
         if self.config.fixed_rate is None:
+            # Reordered feedback must not undo newer parameters.
+            if self.last_applied is not None and serial_diff(fb.mi_index, self.last_applied) <= 0:
+                self.log.stale_feedback += 1
+                return True
+            self.last_applied = fb.mi_index
             self.pending = (fb.sigma, fb.new_n, fb.new_ts_ms)
             self.log.feedback_applied += 1
             self.log.rows.append(((now - self.start) // 1000, *self.pending, "feedback"))

@@ -2,10 +2,13 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from agefec import fixed_sampling, multiflow
 from agefec.core import AgeTracker, CodingParams, LossModel, ParameterError, ReceiverChunkStore
+from agefec.experiments import PRESETS, ExperimentSpec
 from agefec.netsim import (
     SERVICE_RATE_PER_DATA_CHUNK,
     BottleneckPath,
@@ -185,10 +188,12 @@ class ScriptedSender:
 
     schema = "scripted/1"
     columns = ()
+    horizon = 3  # the oldest age a script holds
 
-    def __init__(self, script, flow_avts):
+    def __init__(self, script, flow_avts, interval=1):
         self.script = script
         self.flow_avts = flow_avts
+        self.interval = interval
         self.rows = []
         self.intervals = []
 
@@ -197,22 +202,115 @@ class ScriptedSender:
 
     def boundary(self, t, interval):
         self.intervals.append(interval)
-        return 1
+        return self.interval
+
+
+def replay_against_reference(cfg, script, avts, mi):
+    """Run `script` on the engine and on the reference models; assert they agree.
+
+    The reference replays the engine's traffic chunk by chunk on the same
+    seed, including its selection draws from the "select" stream, and every
+    Interval, age and counter must match.  Each flow's violation fractions
+    are checked against its own threshold.  The reference stores keep every
+    mask, while the engine drops expired ones in one bucket per monitoring
+    interval of `mi` slots.  Returns how many masks the reference holds.
+    """
+    flows = len(avts)
+    sender = ScriptedSender(script, avts, mi)
+    result = run_slots(cfg, sender)
+
+    path = BottleneckPath(cfg)
+    select = stream(cfg.rng_seed, "select").random
+    stores = [ReceiverChunkStore(cfg.coding.k) for _ in range(flows)]
+    trackers = [AgeTracker(avt, cfg.initial_age) for avt in avts]
+    freshest = [-tracker.initial_age for tracker in trackers]
+    delivered, decoded = [0] * flows, [0] * flows
+    ages, occupancy = [[tracker.initial_age] for tracker in trackers], []
+    intervals = iter(sender.intervals)
+    injected = 0
+    arrivals, refreshed = [], [[] for _ in range(flows)]  # the interval's so far
+    for t in range(1, cfg.duration + 1):
+        landed = path.deliveries_at(t)
+        arrivals += landed
+        for (f, sample, index, gen), _delay in landed:
+            delivered[f] += 1
+            if stores[f].add(sample, index):
+                decoded[f] += 1
+                if gen > freshest[f]:
+                    freshest[f] = gen
+                    refreshed[f].append((gen, t))
+        for f in range(flows):
+            ages[f].append(trackers[f].step(t, [gen for gen, slot in refreshed[f] if slot == t]))
+        if t % mi == 0:
+            interval = next(intervals)
+            assert interval.start == t - mi
+            assert interval.sent == path.injected - injected
+            injected = path.injected
+            assert interval.delivered == len(arrivals)
+            assert interval.delay_sum == sum(delay for _, delay in arrivals)
+            assert interval.mean_delay == (
+                interval.delay_sum / len(arrivals) if arrivals else math.inf
+            )
+            assert interval.min_delay == min((delay for _, delay in arrivals), default=math.inf)
+            for f in range(flows):
+                assert interval.decodes[f][1:] == refreshed[f]
+                assert interval.flow_delivered[f] == sum(1 for (g, *_), _d in arrivals if g == f)
+            arrivals, refreshed = [], [[] for _ in range(flows)]
+        chunks = []
+        for f, age, sample, n, p in script[t]:
+            gen = t - age
+            if gen < 1:
+                continue
+            chunks += [
+                (f, gen if sample is None else sample, i, gen)
+                for i in range(n)
+                if p >= 1.0 or select() < p
+            ]
+        path.inject(chunks, t)
+        path.advance_slot(t)
+        occupancy.append(path.occupancy)
+
+    assert next(intervals, None) is None
+    assert len(sender.intervals) == cfg.duration // mi
+    assert result.counts == {
+        "injected": path.injected,
+        "lost_in": path.lost_in,
+        "dropped_buffer": path.dropped_buffer,
+        "lost_out": path.lost_out,
+        "delivered": path.delivered,
+        "in_flight": path.in_flight,
+        "queued": path.occupancy,
+    }
+    assert result.occupancy_max == max(occupancy)
+    assert result.occupancy_mean == sum(occupancy) / cfg.duration
+    last = len(sender.intervals) * mi  # the decode logs cover slots up to here
+    for f, avt in enumerate(avts):
+        assert ages[f][:1] + ages_from_decodes(sender.intervals, f, last) == ages[f][: last + 1]
+        assert result.flow_av[f] == sum(a >= avt for a in ages[f][1:]) / cfg.duration
+        assert result.flow_av_strict[f] == sum(a > avt for a in ages[f][1:]) / cfg.duration
+    assert result.flow_delivered == delivered
+    assert result.flow_decoded == decoded
+    assert path.injected > 0
+    kept = sum(len(store._masks) for store in stores)
+    assert result.masks_held_max <= kept
+    return result.masks_held_max, kept
 
 
 def test_engine_matches_reference_models_under_random_traffic():
     """run_slots agrees with BottleneckPath, ReceiverChunkStore and AgeTracker.
 
-    The reference replays the engine's traffic chunk by chunk on the same
-    seed, including its selection draws from the "select" stream, and every
-    per-slot Interval, age and counter must match.  Flows have distinct
-    thresholds, so each flow's violation fractions are checked against its own.
+    Flows have distinct thresholds.  The last trials use monitoring intervals
+    of several slots, so the engine drops masks in buckets of several slots'
+    samples.  With k = 1 a mask dropped while a chunk of its sample can still
+    arrive would decode that sample again at once.
     """
     rng = random.Random(11)
-    for trial in range(30):
+    pruned = set()  # whether mi > 1, for the trials in which the engine dropped masks
+    for trial in range(45):
         flows = rng.choice((1, 2, 3))
         avts = tuple(rng.sample(range(1, 7), flows))
         k = rng.randrange(1, 3)
+        mi = 1 if trial < 30 else rng.randrange(2, 12)
         cfg = SimConfig(
             coding=CodingParams(k, 3),
             avt=3,
@@ -221,7 +319,7 @@ def test_engine_matches_reference_models_under_random_traffic():
             loss=LossModel(rng.uniform(0, 0.5), rng.uniform(0, 0.5)),
             propagation_delay=rng.randrange(0, 4),
             duration=rng.randrange(50, 200),
-            monitoring_interval=1,
+            monitoring_interval=mi,
             rng_seed=trial,
             initial_age=rng.choice((None, 0, 1, 2, 3)),
         )
@@ -233,78 +331,73 @@ def test_engine_matches_reference_models_under_random_traffic():
             burst = []
             for _ in range(rng.randrange(0, 4)):
                 serial += 1
-                age = rng.randrange(0, 4) if by_gen else 0
+                age = rng.randrange(0, ScriptedSender.horizon + 1) if by_gen else 0
                 burst.append(
                     (rng.randrange(flows), age, None if by_gen else serial,
                      rng.randrange(1, 4), rng.choice((1.0, 0.5)))
                 )
             script[t] = burst
-        sender = ScriptedSender(script, avts)
-        result = run_slots(cfg, sender)
+        held, kept = replay_against_reference(cfg, script, avts, mi)
+        if held < kept:
+            pruned.add(mi > 1)
+    assert pruned == {False, True}
 
-        path = BottleneckPath(cfg)
-        select = stream(cfg.rng_seed, "select").random
-        stores = [ReceiverChunkStore(k) for _ in range(flows)]
-        trackers = [AgeTracker(avt, cfg.initial_age) for avt in avts]
-        freshest = [-tracker.initial_age for tracker in trackers]
-        delivered, decoded = [0] * flows, [0] * flows
-        ages, occupancy = [[tracker.initial_age] for tracker in trackers], []
-        injected = 0
-        for t, interval in enumerate(sender.intervals, start=1):
-            assert interval.sent == path.injected - injected
-            injected = path.injected
-            arrivals = path.deliveries_at(t)
-            assert interval.delivered == len(arrivals)
-            assert interval.delay_sum == sum(delay for _, delay in arrivals)
-            assert interval.mean_delay == (
-                interval.delay_sum / len(arrivals) if arrivals else math.inf
-            )
-            assert interval.min_delay == min((delay for _, delay in arrivals), default=math.inf)
-            refreshed = [[] for _ in range(flows)]
-            for (f, sample, index, gen), _delay in arrivals:
-                delivered[f] += 1
-                if stores[f].add(sample, index):
-                    decoded[f] += 1
-                    if gen > freshest[f]:
-                        freshest[f] = gen
-                        refreshed[f].append((gen, t))
-            for f in range(flows):
-                assert interval.decodes[f][1:] == refreshed[f]
-                assert interval.flow_delivered[f] == sum(1 for (g, *_), _d in arrivals if g == f)
-                ages[f].append(trackers[f].step(t, [gen for gen, _ in refreshed[f]]))
-            chunks = []
-            for f, age, sample, n, p in script[t]:
-                gen = t - age
-                if gen < 1:
-                    continue
-                chunks += [
-                    (f, gen if sample is None else sample, i, gen)
-                    for i in range(n)
-                    if p >= 1.0 or select() < p
-                ]
-            path.inject(chunks, t)
-            path.advance_slot(t)
-            occupancy.append(path.occupancy)
 
-        assert len(sender.intervals) == cfg.duration
-        assert result.counts == {
-            "injected": path.injected,
-            "lost_in": path.lost_in,
-            "dropped_buffer": path.dropped_buffer,
-            "lost_out": path.lost_out,
-            "delivered": path.delivered,
-            "in_flight": path.in_flight,
-            "queued": path.occupancy,
-        }
-        assert result.occupancy_max == max(occupancy)
-        assert result.occupancy_mean == sum(occupancy) / cfg.duration
-        for f, avt in enumerate(avts):
-            assert ages[f][:1] + ages_from_decodes(sender.intervals, f, cfg.duration) == ages[f]
-            assert result.flow_av[f] == sum(a >= avt for a in ages[f][1:]) / cfg.duration
-            assert result.flow_av_strict[f] == sum(a > avt for a in ages[f][1:]) / cfg.duration
-        assert result.flow_delivered == delivered
-        assert result.flow_decoded == decoded
-        assert path.injected > 0
+def test_engine_keeps_a_mask_until_its_last_chunk_can_arrive():
+    """The latest chunk the path allows still finds its sample's mask.
+
+    Sample 10's first chunk goes out at once and arrives at slot 11, the
+    bucket's closing slot.  Its last chunk leaves at the sender's horizon,
+    slot 13, behind a buffer's worth of another sample, and waits
+    capacity / q_s - 1 slots: it arrives at slot 10 + horizon +
+    ceil(capacity / q_s) + latency - 1.  With k = 1 a re-created mask would
+    count a second decode.  Sample 30 comes after both earlier masks went.
+    """
+    capacity, horizon = 8, ScriptedSender.horizon
+    cfg = SimConfig(
+        coding=CodingParams(1, 3),
+        q_s=1.0,
+        buffer_capacity=capacity,
+        loss=LossModel(0.0, 0.0),
+        propagation_delay=0,
+        duration=40,
+        monitoring_interval=1,
+    )
+    script = {t: [] for t in range(1, cfg.duration + 1)}
+    script[10] = [(0, 0, None, 1, 1.0)]
+    script[10 + horizon] = [(0, 0, None, capacity - 1, 1.0), (0, horizon, None, 1, 1.0)]
+    script[30] = [(0, 0, None, 1, 1.0)]
+    held, kept = replay_against_reference(cfg, script, (3,), 1)
+    assert (held, kept) == (2, 3)
+
+
+@pytest.mark.parametrize("mode", ["fixed-rate", "fixed-sampling", "adaptive-pair"])
+def test_held_masks_stay_flat_as_runs_grow(mode):
+    """table1-k3n4 holds as many decode masks at once in 100k slots as in 10k.
+
+    A held mask's sample was first seen within the last reach + 2 intervals
+    slots: one interval is the span of its bucket, one the wait for the next
+    drop.  These senders start at most one sample per flow and slot.
+    """
+    spec = ExperimentSpec(**PRESETS["table1-k3n4"])
+    held = []
+    for duration in (10_000, 100_000):
+        cfg = replace(spec.sim_config(0), duration=duration)
+        if mode == "fixed-rate":
+            result, horizon, flows = run_fixed_rate_sim(cfg, 1.0), 0, 1
+        elif mode == "fixed-sampling":
+            result, horizon, flows = fixed_sampling.run_sim(cfg), cfg.avt - 1, 1
+        else:
+            result, horizon, flows = multiflow.run_sim(cfg, 2).system, 0, 2
+        held.append(result.masks_held_max)
+    if "t_tilde" in result.columns:
+        column = result.columns.index("t_tilde")
+        longest = max(cfg.monitoring_interval, *(row[column] for row in result.rows))
+    else:
+        longest = cfg.monitoring_interval
+    latency = 1 + cfg.propagation_delay
+    reach = horizon + math.ceil(cfg.buffer_capacity / cfg.service_rate) + latency + 1
+    assert held[0] == held[1] <= flows * (reach + 2 * longest)
 
 
 def test_fixed_rate_sim_is_deterministic():

@@ -892,6 +892,26 @@ def test_sender_ignores_feedback_with_n_below_k():
     assert (log.final_n, log.final_ts_ms) == (4, 25)
 
 
+def test_sender_applies_only_feedback_newer_than_the_last_applied():
+    """Reordered or repeated feedback leaves the newest parameters in force.
+
+    Intervals are ordered as 32-bit serial numbers, so interval 0 after
+    2**32 - 1 is newer.
+    """
+    cfg = WireConfig(k=3, n_init=5, avt_ms=100, payload_bytes=30)
+    sender = wire.SenderCore(cfg, 0)
+    log = sender.log
+    for mi, sigma, n, ts_ms in ((5, 0.25, 4, 25), (4, 0.5, 9, 18), (5, 0.5, 9, 18)):
+        assert sender.on_datagram(FeedbackPacket.from_values(mi, sigma, n, ts_ms, 0.0, 1.0, 2.0).encode(), 0)
+    sender.poll(0)  # the sample boundary swaps the staged parameters in
+    assert (log.final_sigma, log.final_n, log.final_ts_ms) == (0.25, 4, 25)
+    assert (log.feedback_applied, log.stale_feedback) == (1, 2)
+    wrapping = wire.SenderCore(cfg, 0)
+    for mi in (2**32 - 1, 0):
+        wrapping.on_datagram(FeedbackPacket.from_values(mi, 1.0, 6, 6, 0.0, 1.0, 2.0).encode(), 0)
+    assert (wrapping.log.feedback_applied, wrapping.log.stale_feedback) == (2, 0)
+
+
 class RefusingSocket(socket.socket):
     """A UDP socket whose fifth sendto fails with ENOBUFS."""
 
