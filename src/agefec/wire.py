@@ -439,7 +439,8 @@ class SenderCore:
         """Stage the parameters a feedback datagram commands; False for a bad one.
 
         Feedback applies only when its interval is newer, as a serial number,
-        than the last applied; older or repeated feedback is counted as stale.
+        than the last applied; older or repeated feedback is counted as stale
+        and, like silence, leads to the fallback after five feedback periods.
         """
         if self.done:  # nothing is left to pace
             return False
@@ -450,13 +451,11 @@ class SenderCore:
         if fb is None or fb.new_n < self.config.k:  # the field caps n at 255
             self.log.malformed += 1
             return False
-        self.last_feedback = now
         if self.config.fixed_rate is None:
-            # Reordered feedback must not undo newer parameters.
             if self.last_applied is not None and serial_diff(fb.mi_index, self.last_applied) <= 0:
                 self.log.stale_feedback += 1
                 return True
-            self.last_applied = fb.mi_index
+            self.last_applied, self.last_feedback = fb.mi_index, now
             self.pending = (fb.sigma, fb.new_n, fb.new_ts_ms)
             self.log.feedback_applied += 1
             self.log.rows.append(((now - self.start) // 1000, *self.pending, "feedback"))

@@ -896,7 +896,7 @@ def test_sender_applies_only_feedback_newer_than_the_last_applied():
     """Reordered or repeated feedback leaves the newest parameters in force.
 
     Intervals are ordered as 32-bit serial numbers, so interval 0 after
-    2**32 - 1 is newer.
+    2**32 - 1 is newer.  Stale feedback does not hold off the fallback.
     """
     cfg = WireConfig(k=3, n_init=5, avt_ms=100, payload_bytes=30)
     sender = wire.SenderCore(cfg, 0)
@@ -906,6 +906,11 @@ def test_sender_applies_only_feedback_newer_than_the_last_applied():
     sender.poll(0)  # the sample boundary swaps the staged parameters in
     assert (log.final_sigma, log.final_n, log.final_ts_ms) == (0.25, 4, 25)
     assert (log.feedback_applied, log.stale_feedback) == (1, 2)
+    # Stale feedback is no news: five silent feedback periods still bring the fallback.
+    late = 5 * monitoring_interval_length(cfg.avt_slots, 4) * cfg.slot_ms * 1000 + 1
+    sender.on_datagram(FeedbackPacket.from_values(4, 0.5, 9, 18, 0.0, 1.0, 2.0).encode(), late)
+    sender.poll(late)
+    assert (log.stale_feedback, log.fallbacks) == (3, 1)
     wrapping = wire.SenderCore(cfg, 0)
     for mi in (2**32 - 1, 0):
         wrapping.on_datagram(FeedbackPacket.from_values(mi, 1.0, 6, 6, 0.0, 1.0, 2.0).encode(), 0)
