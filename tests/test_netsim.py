@@ -205,7 +205,7 @@ class ScriptedSender:
         return self.interval
 
 
-def replay_against_reference(cfg, script, avts, mi):
+def replay_against_reference(cfg, script, avts):
     """Run `script` on the engine and on the reference models; assert they agree.
 
     The reference replays the engine's traffic chunk by chunk on the same
@@ -213,9 +213,10 @@ def replay_against_reference(cfg, script, avts, mi):
     Interval, age and counter must match.  Each flow's violation fractions
     are checked against its own threshold.  The reference stores keep every
     mask, while the engine drops expired ones in one bucket per monitoring
-    interval of `mi` slots.  Returns how many masks the reference holds.
+    interval.  Returns the engine's masks_held_max and the masks the
+    reference holds.
     """
-    flows = len(avts)
+    flows, mi = len(avts), cfg.monitoring_interval
     sender = ScriptedSender(script, avts, mi)
     result = run_slots(cfg, sender)
 
@@ -337,7 +338,7 @@ def test_engine_matches_reference_models_under_random_traffic():
                      rng.randrange(1, 4), rng.choice((1.0, 0.5)))
                 )
             script[t] = burst
-        held, kept = replay_against_reference(cfg, script, avts, mi)
+        held, kept = replay_against_reference(cfg, script, avts)
         if held < kept:
             pruned.add(mi > 1)
     assert pruned == {False, True}
@@ -367,7 +368,7 @@ def test_engine_keeps_a_mask_until_its_last_chunk_can_arrive():
     script[10] = [(0, 0, None, 1, 1.0)]
     script[10 + horizon] = [(0, 0, None, capacity - 1, 1.0), (0, horizon, None, 1, 1.0)]
     script[30] = [(0, 0, None, 1, 1.0)]
-    held, kept = replay_against_reference(cfg, script, (3,), 1)
+    held, kept = replay_against_reference(cfg, script, (3,))
     assert (held, kept) == (2, 3)
 
 
