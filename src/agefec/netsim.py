@@ -189,8 +189,9 @@ class SimResult:
     `av` counts slots with age >= avt (the headline metric); `av_strict`
     counts age > avt, matching the per-interval accounting.  Both are flow
     0's; the `flow_*` lists hold every flow's, indexed by flow, and stay out
-    of `summary()`.  Interval rows and their column names feed the CSV
-    writers unchanged.
+    of `summary()`, as does `masks_held_max`, the most decode masks the
+    receiver held at once.  Interval rows and their column names feed the
+    CSV writers unchanged.
     """
 
     schema: str
