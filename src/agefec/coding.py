@@ -4,15 +4,21 @@ An n x k generator is built from a Vandermonde matrix with distinct
 evaluation points and normalized so its top k rows are the identity: the
 first k output chunks are the payload itself, and every k x k row subset
 stays invertible, so any k of the n chunks reconstruct the payload exactly.
+
+The field arithmetic is plain Python; only the bulk row operations use numpy.
+numpy is imported, and the 256 x 256 multiplication table built, on the first
+codec call, so the simulators, which never code a payload, run without it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
+from functools import cache, lru_cache
+from typing import TYPE_CHECKING
 
 from .core import CodingError, InsufficientChunksError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _PRIMITIVE_POLY = 0x11D
 
@@ -41,19 +47,28 @@ def gf_inv(a: int) -> int:
     return _EXP[255 - _LOG[a]]
 
 
-# _MUL_TABLE[a, b] = exp[log a + log b], one row at a time: a single 256 x 256
-# gather needs temporaries that add about 0.3 MB to peak RSS.
-_MUL_TABLE = np.zeros((256, 256), dtype=np.uint8)
-_exp, _log = np.array(_EXP, dtype=np.uint8), np.array(_LOG[1:])
-for _a in range(1, 256):
-    _MUL_TABLE[_a, 1:] = _exp[_LOG[_a] + _log]
+@cache
+def _mul_table() -> np.ndarray:
+    """table[a, b] = a * b in GF(256), built on first use."""
+    import numpy as np
+
+    # One row at a time: a single 256 x 256 gather needs temporaries that add
+    # about 0.3 MB to peak RSS.
+    table = np.zeros((256, 256), dtype=np.uint8)
+    exp, log = np.array(_EXP, dtype=np.uint8), np.array(_LOG[1:])
+    for a in range(1, 256):
+        table[a, 1:] = exp[_LOG[a] + log]
+    return table
+
 
 _INVERSE_CACHE_SIZE = 256  # decode inverses kept, each k x k bytes
 
 
 def _table(coeffs: np.ndarray) -> np.ndarray:
     """Per-input-row tables: tab[j, v] holds v * coeffs[:, j], one byte per output row."""
-    return np.ascontiguousarray(_MUL_TABLE[:, coeffs.T].transpose(1, 0, 2))
+    import numpy as np
+
+    return np.ascontiguousarray(_mul_table()[:, coeffs.T].transpose(1, 0, 2))
 
 
 def _lincomb(tab: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -62,6 +77,8 @@ def _lincomb(tab: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Each input row costs one gather that fetches its share of every output
     row at once; the result is a (outputs, len) view.
     """
+    import numpy as np
+
     acc = np.take(tab[0], rows[0], axis=0)
     for j in range(1, len(rows)):
         acc ^= np.take(tab[j], rows[j], axis=0)
@@ -100,6 +117,8 @@ _GENERATORS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 def _cached_generator(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     if (k, n) not in _GENERATORS:
+        import numpy as np
+
         vand = np.array([[pow_gf(x, j) for j in range(k)] for x in range(n)], dtype=np.uint8)
         top_inv = np.array(_mat_inv(vand[:k].tolist()), dtype=np.uint8)
         gen = np.ascontiguousarray(_lincomb(_table(vand), top_inv))
@@ -111,6 +130,8 @@ def _cached_generator(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=_INVERSE_CACHE_SIZE)
 def _inverse(k: int, n: int, indices: tuple[int, ...]) -> np.ndarray:
     """Inverse of the generator rows `indices`: maps those chunks back to the data."""
+    import numpy as np
+
     gen, _ = _cached_generator(k, n)
     inv = np.array(_mat_inv(gen[list(indices)].tolist()), dtype=np.uint8)
     inv.flags.writeable = False  # shared by every caller through the cache
@@ -119,6 +140,8 @@ def _inverse(k: int, n: int, indices: tuple[int, ...]) -> np.ndarray:
 
 def encode_payload(payload: bytes, k: int, n: int) -> list[bytes]:
     """Split `payload` into k padded data chunks and emit n coded chunks."""
+    import numpy as np
+
     chunk_len = -(-len(payload) // k) if payload else 1
     padded = payload.ljust(chunk_len * k, b"\0")
     out: list[bytes] = [padded[i * chunk_len:(i + 1) * chunk_len] for i in range(k)]
@@ -145,6 +168,8 @@ def decode_payload(shares: dict[int, bytes], k: int, n: int, payload_len: int) -
     # as it is; only the missing ones are recomputed from those k chunks.
     missing = [i for i in range(k) if i not in shares]
     if missing:
+        import numpy as np
+
         inv = _inverse(k, n, tuple(indices))
         received = np.frombuffer(b"".join(shares[i] for i in indices), dtype=np.uint8)
         rows = _lincomb(_table(inv[missing]), received.reshape(k, chunk_len))

@@ -36,7 +36,7 @@ from .adaptive_sampling import (
     restart_rate,
     sampling_interval,
 )
-from .coding import decode_payload, encode_payload
+from .coding import _cached_generator, decode_payload, encode_payload
 from .core import CodingError, ParameterError, serial_diff
 from .netsim import Interval
 
@@ -267,7 +267,13 @@ def now_us() -> int:
 
 @dataclass
 class WireConfig:
-    """Shared knobs for both endpoints; one slot is slot_ms milliseconds."""
+    """Shared knobs for both endpoints; one slot is slot_ms milliseconds.
+
+    Building one readies the codec for (k, n_init): numpy loads and the
+    generator is built here, before any traffic, not at the first decode,
+    when chunks are already arriving and a late receiver loses them in the
+    kernel.
+    """
 
     dest: tuple[str, int] | None = None
     listen: tuple[str, int] | None = None
@@ -303,6 +309,7 @@ class WireConfig:
                 f"payload_bytes {self.payload_bytes} must split into chunks of"
                 f" 0 to 65535 bytes at k={self.k}"
             )
+        _cached_generator(self.k, self.n_init)
 
     @property
     def avt_slots(self) -> int:
@@ -383,12 +390,15 @@ class SenderCore:
             cfg, n = self.config, self.log.final_n
             if cfg.fixed_rate is None and self.pending is None:
                 # Silence beyond five feedback periods: assume the pipe
-                # drained and restart from the bandwidth estimate.
+                # drained and restart from the bandwidth estimate.  The
+                # receiver may have restarted and numbers its intervals
+                # afresh, so the next feedback applies whatever its index.
                 t_tilde_us = monitoring_interval_length(cfg.avt_slots, n) * cfg.slot_ms * 1000
                 if now - self.last_feedback > 5 * t_tilde_us:
                     refill = restart_rate(n, RTT_INIT)
                     self.pending = (refill, n, sampling_interval(n, refill) * cfg.slot_ms)
                     self.last_feedback = now
+                    self.last_applied = None
                     self.log.fallbacks += 1
             if now >= self.next_sample:
                 self._sample(now)
@@ -441,6 +451,7 @@ class SenderCore:
         Feedback applies only when its interval is newer, as a serial number,
         than the last applied; older or repeated feedback is counted as stale
         and, like silence, leads to the fallback after five feedback periods.
+        After the fallback the next feedback applies, whatever its interval.
         """
         if self.done:  # nothing is left to pace
             return False

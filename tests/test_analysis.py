@@ -68,12 +68,48 @@ def test_decode_probability_grid_against_pmf_sum():
                 assert got == pytest.approx(expected, rel=1e-12, abs=1e-300), (k, n, p)
 
 
-def test_import_loads_no_scipy():
+def _in_fresh_interpreter(code: str) -> str:
+    """Run `code` in a new interpreter that imports agefec from this tree; return its output."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(agefec.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, agefec; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, agefec; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _in_fresh_interpreter(code) == "[]"
+
+
+def test_simulators_load_only_the_standard_library(tmp_path):
+    """Every mode but the wire endpoints runs on the standard library alone:
+    numpy is the codec's, and no simulator codes a payload."""
+    modes = tuple(m for m in agefec.experiments.MODES if not m.startswith("wire-"))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"  # what site loaded before agefec
+        "import agefec\n"
+        "from agefec import experiments\n"
+        f"for mode in {modes!r}:\n"
+        f"    overrides = dict(mode=mode, duration=300, out_dir={str(tmp_path)!r})\n"
+        "    experiments.run_experiment(experiments.build_spec(overrides=overrides))\n"
+        "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'agefec'}))\n"
+    )
+    assert _in_fresh_interpreter(code) == "[]"
+    assert {p.name for p in tmp_path.glob("*.json")} == {f"{m}.json" for m in modes}
+
+
+def test_wire_config_readies_the_codec():
+    """numpy loads and the generator is built when a WireConfig is made, not
+    at the first decode, by which time chunks are already arriving."""
+    code = (
+        "import sys, agefec\n"
+        "print('numpy' in sys.modules)\n"
+        "agefec.wire.WireConfig(k=8, n_init=16)\n"
+        "print('numpy' in sys.modules, (8, 16) in agefec.coding._GENERATORS)\n"
+    )
+    assert _in_fresh_interpreter(code).splitlines() == ["False", "True True"]
 
 
 def test_decode_probability_edges():

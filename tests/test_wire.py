@@ -917,6 +917,41 @@ def test_sender_applies_only_feedback_newer_than_the_last_applied():
     assert (wrapping.log.feedback_applied, wrapping.log.stale_feedback) == (2, 0)
 
 
+def test_sender_follows_a_restarted_receiver_after_the_fallback():
+    """A restarted receiver numbers its feedback from 1 again.  The sender
+    counts that feedback as stale until the silence fallback; the first
+    datagram after the fallback applies whatever its index, and so do the
+    newer ones after it."""
+    cfg = WireConfig(k=3, n_init=5, avt_ms=100, payload_bytes=30)
+    sender = wire.SenderCore(cfg, 0)
+    log = sender.log
+    for mi in range(1, 41):  # the first receiver, one datagram per 100 ms
+        now = mi * 100_000
+        sender.poll(now)
+        assert sender.on_datagram(FeedbackPacket.from_values(mi, 0.5, 6, 12, 0.0, 1.0, 2.0).encode(), now)
+    sender.poll(now)
+    assert (log.final_sigma, log.final_n, log.feedback_applied) == (0.5, 6, 40)
+    silence_us = 5 * monitoring_interval_length(cfg.avt_slots, 6) * cfg.slot_ms * 1000
+    last_applied_us = now
+    applied = []  # the restarted receiver's intervals that applied
+    for mi in range(1, 41):  # the restarted receiver, one datagram per 250 ms
+        now = last_applied_us + mi * 250_000
+        sender.poll(now)
+        before = log.feedback_applied
+        sender.on_datagram(FeedbackPacket.from_values(mi, 0.25, 4, 25, 0.0, 1.0, 2.0).encode(), now)
+        if log.feedback_applied > before:
+            applied.append(mi)
+            assert sender.pending == (0.25, 4, 25)
+    assert applied, "the restarted receiver's feedback never applied"
+    first = applied[0]
+    assert log.fallbacks == 1
+    assert (first - 1) * 250_000 <= silence_us < first * 250_000
+    assert applied == list(range(first, 41))
+    assert (log.stale_feedback, log.feedback_applied) == (first - 1, 40 + len(applied))
+    sender.poll(now + 25_000)
+    assert (log.final_sigma, log.final_n, log.final_ts_ms) == (0.25, 4, 25)
+
+
 class RefusingSocket(socket.socket):
     """A UDP socket whose fifth sendto fails with ENOBUFS."""
 
